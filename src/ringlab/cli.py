@@ -19,7 +19,7 @@ from typing import Optional
 from . import dsl
 from . import predicates as pred
 from .constructions import IntegersOracle
-from .core import ResourceGuard, characteristic
+from .core import DEFAULT_MAX_RING_SIZE, ResourceGuard, characteristic
 from .corpus import build_corpus
 from .errors import RinglabError, SizeExceeded
 from .invariants import (
@@ -56,8 +56,7 @@ TABLE_EXPECTED = {
 @dataclass
 class RunConfig:
     n_range: tuple[int, int] = (1, 24)
-    max_size: int = 65536
-    threads: int = 1
+    max_size: int = DEFAULT_MAX_RING_SIZE
     format: str = "text"
     out: Optional[str] = None
     seed: int = 0
@@ -65,11 +64,10 @@ class RunConfig:
 
     @property
     def guard(self) -> ResourceGuard:
-        return ResourceGuard(max_ring_size=self.max_size, thread_count=self.threads)
+        return ResourceGuard(max_ring_size=self.max_size)
 
     def echo(self) -> dict:
-        # runtime-only knobs (threads, output path) stay out so reruns with a
-        # different thread count produce byte-identical records
+        # the output path is a runtime-only knob and stays out of the records
         return {
             "n_range": list(self.n_range),
             "max_size": self.max_size,
@@ -110,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--n-range", type=_parse_n_range, default=(1, 24), metavar="a..b")
     shared.add_argument("--max-size", type=int, default=None, metavar="N")
+    # accepted for compatibility with existing scripts; suites always run serially
     shared.add_argument("--threads", type=int, default=1, metavar="T")
     shared.add_argument("--format", choices=["text", "json", "jsonl"], default="text")
     shared.add_argument("--out", default=None, metavar="PATH")
@@ -154,11 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(args) -> RunConfig:
     max_size = args.max_size
     if max_size is None:
-        max_size = int(os.environ.get("RINGLAB_MAX_SIZE", 65536))
+        max_size = int(os.environ.get("RINGLAB_MAX_SIZE", DEFAULT_MAX_RING_SIZE))
     return RunConfig(
         n_range=args.n_range,
         max_size=max_size,
-        threads=args.threads,
         format=args.format,
         out=args.out,
         seed=args.seed,
@@ -352,9 +350,7 @@ def cmd_verify(args, config: RunConfig, out: _Output) -> int:
     echo = config.echo()
     all_hold = True
     for suite_id in suite_ids:
-        result = run_suite(
-            suite_id, corpus, n_range=config.n_range, guard=config.guard, threads=config.threads
-        )
+        result = run_suite(suite_id, corpus, n_range=config.n_range, guard=config.guard)
         for record in result.records:
             out.line(json.dumps(record.to_json(suite_id, echo)))
         if not result.holds:
@@ -521,7 +517,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     config = _config_from(args)
-    out = _Output(config.out)
+    try:
+        out = _Output(config.out)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args, config, out)
     except RinglabError as exc:

@@ -36,7 +36,6 @@ class ResourceGuard:
 
     max_ring_size: int = DEFAULT_MAX_RING_SIZE
     mul_memo_budget_bytes: int = DEFAULT_MEMO_BUDGET_BYTES
-    thread_count: int = 1
 
     def check_ring_size(self, projected: int, what: str = "ring") -> None:
         if projected > self.max_ring_size:
@@ -87,9 +86,6 @@ class Verdict:
         return out
 
 
-_ring_counter = [0]
-
-
 class FiniteRing:
     """A finite unital ring on dense codes with optional numpy tables."""
 
@@ -101,7 +97,6 @@ class FiniteRing:
         "kind",
         "meta",
         "guard",
-        "ring_id",
         "_add",
         "_mul",
         "_neg",
@@ -140,8 +135,6 @@ class FiniteRing:
         self.kind = kind
         self.meta = meta or {}
         self.guard = guard
-        _ring_counter[0] += 1
-        self.ring_id = _ring_counter[0]
         self._add = add
         self._mul = mul
         self._neg = neg

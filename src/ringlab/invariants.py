@@ -4,7 +4,7 @@ The cache holds the unit set with verified two-sided inverses, the
 nilpotent bitset, idempotents and n-potents, the Jacobson radical, the
 center, per-unit minimal unipotence exponents and the ring's uu-exponent.
 All results are in ascending code order, so downstream witnesses are
-deterministic regardless of thread count.
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +17,19 @@ import numpy as np
 from .constructions import IdealSet, IntegersOracle
 from .core import FiniteRing
 from .errors import AxiomViolation, UnsupportedPredicate
+
+
+def vector_pow(tabs, base: np.ndarray, n: int, one: int) -> np.ndarray:
+    """Elementwise base**n by square-and-multiply through the mul table."""
+    result = np.full(base.size, one, dtype=np.int64)
+    b = base.astype(np.int64)
+    k = n
+    while k:
+        if k & 1:
+            result = tabs.mul[result, b]
+        b = tabs.mul[b, b]
+        k >>= 1
+    return result
 
 
 class StructureCache:
@@ -41,17 +54,8 @@ class StructureCache:
         """Vector of a**n over all codes a."""
         key = ("pow", n)
         if key not in self._d:
-            tabs = self._tables()
-            N = self.ring.size
-            result = np.full(N, self.ring.one, dtype=np.int64)
-            base = np.arange(N, dtype=np.int64)
-            k = n
-            while k:
-                if k & 1:
-                    result = tabs.mul[result, base]
-                base = tabs.mul[base, base]
-                k >>= 1
-            self._d[key] = result
+            codes = np.arange(self.ring.size, dtype=np.int64)
+            self._d[key] = vector_pow(self._tables(), codes, n, self.ring.one)
         return self._d[key]
 
     # -- structural sets ----------------------------------------------------

@@ -192,9 +192,11 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     # harness contract: a failing suite must exit 1 and surface the witness
     from ringlab import suites as suites_mod
 
-    def fake_suite(corpus, n_range, guard, threads):
-        return [suites_mod.RingRecord("Z(4)", {}, False, [["u", 3]], 0)]
-
+    fake_suite = suites_mod.Suite(
+        items=lambda corpus: ["Z(4)"],
+        check=lambda item, n_range, guard: ({}, False, [["u", 3]]),
+        label=str,
+    )
     monkeypatch.setitem(suites_mod.SUITE_REGISTRY, "FIELD-UU", fake_suite)
     code, out, err = run_cli(capsys, "verify", "FIELD-UU")
     assert code == 1
@@ -225,6 +227,20 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 9
+
+
+def test_out_with_missing_parent_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.jsonl"
+    code, out, err = run_cli(capsys, "table", "--out", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_out_naming_a_directory_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "table", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_explore_writes_dataset(capsys):

@@ -2,13 +2,32 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import integers_oracle, make_gf, make_zmod
+from ringlab import (
+    integers_oracle,
+    make_corner,
+    make_gf,
+    make_matrix,
+    make_polyquot,
+    make_quotient,
+    make_triangular,
+    make_zmod,
+)
+from ringlab.corpus import build_corpus
 from ringlab.errors import WrongRingKind
 from ringlab.groups import cyclic
-from ringlab.invariants import nilpotent_codes, unit_codes, uu_exponent
+from ringlab.invariants import (
+    cache,
+    idempotents,
+    jacobson_radical,
+    nilpotent_codes,
+    unit_codes,
+    uu_exponent,
+    vector_pow,
+)
 from ringlab.predicates import (
     augmentation,
     augmentation_ideal,
@@ -26,6 +45,7 @@ from ringlab.predicates import (
     thm1_condition,
     unipotent_order_check,
 )
+from ringlab.suites import BUILT_INSTANCE_CAP, MATRIX_LCM_PAIRS, THM2_INSTANCES
 
 
 # -- n-UU and friends ----------------------------------------------------------
@@ -52,6 +72,47 @@ def test_is_n_uu_matches_exponent_divisibility(z12, m2z2, m2z3):
         d = uu_exponent(ring)
         for n in range(1, 25):
             assert is_n_uu(ring, n).holds == (n % d == 0)
+
+
+def _n_uu_by_unit_powers(R, n):
+    """(holds, witness) from u**n - 1 over every unit, without unit exponents."""
+    c = cache(R)
+    tabs = R.tables()
+    powers = vector_pow(tabs, c.units, n, R.one)
+    bad = np.flatnonzero(~c.nil_mask[tabs.add[powers, tabs.neg[R.one]]])
+    if bad.size == 0:
+        return True, None
+    return False, [("u", int(c.units[bad[0]]))]
+
+
+def _rings_the_suites_decide():
+    """Corpus rings, their R/J(R) and corners, and the suites' built matrix and MORITA rings."""
+    corpus = [R for R in build_corpus() if not isinstance(R, str)]
+    rings = list(corpus)
+    for R in corpus:
+        rings.append(make_quotient(R, jacobson_radical(R)))
+        rings.extend(make_corner(R, e) for e in idempotents(R) if e != R.zero)
+    for q, m in sorted(set(MATRIX_LCM_PAIRS) | set(THM2_INSTANCES)):
+        rings.append(make_matrix(make_gf(q), m))
+    for mod in (2, 3, 4):
+        base = make_zmod(mod)
+        for k in range(2, 25):
+            if mod ** (k * (k + 1) // 2) <= BUILT_INSTANCE_CAP:
+                rings.append(make_triangular(base, k))
+            if mod**k <= BUILT_INSTANCE_CAP:
+                rings.append(make_polyquot(base, k))
+    return rings
+
+
+def test_is_n_uu_exponent_route_matches_unit_powers():
+    # is_n_uu decides from the cached unit exponents; raising every unit to
+    # the n-th power is the independent route, for n in 1..24 and the 2^k * n
+    # that ODD-SPLIT asks for
+    ns = sorted(set(range(1, 25)) | {(1 << k) * n for n in range(1, 25, 2) for k in range(1, 5)})
+    for R in _rings_the_suites_decide():
+        for n in ns:
+            verdict = is_n_uu(R, n)
+            assert (verdict.holds, verdict.witness) == _n_uu_by_unit_powers(R, n), (R.label, n)
 
 
 def test_is_n_uu_witness_recheck(m2z3):
