@@ -151,9 +151,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    """The run configuration; ValueError names a bad --max-size or RINGLAB_MAX_SIZE."""
     max_size = args.max_size
     if max_size is None:
-        max_size = int(os.environ.get("RINGLAB_MAX_SIZE", DEFAULT_MAX_RING_SIZE))
+        text = os.environ.get("RINGLAB_MAX_SIZE", str(DEFAULT_MAX_RING_SIZE))
+        try:
+            max_size = int(text)
+        except ValueError:
+            raise ValueError(f"max size must be a positive integer, got {text!r}") from None
+    if max_size < 1:
+        raise ValueError(f"max size must be a positive integer, got {max_size}")
     return RunConfig(
         n_range=args.n_range,
         max_size=max_size,
@@ -516,7 +523,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
-    config = _config_from(args)
+    try:
+        config = _config_from(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         out = _Output(config.out)
     except OSError as exc:

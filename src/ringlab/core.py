@@ -302,13 +302,189 @@ def _first_bad(mask: np.ndarray) -> Optional[tuple]:
     return np.unravel_index(int(flat[0]), mask.shape)
 
 
+def _table_violation(tables: OpTables, zero: int, one: int) -> Optional[tuple]:
+    """The first failure of the laws that cost O(N^2), as (witness, note), or None.
+
+    These are the range of every table, the additive identity and inverse,
+    commutativity of addition and the two-sided multiplicative identity.
+    """
+    add_t, mul_t, neg_t = tables
+    n = len(neg_t)
+    codes = np.arange(n, dtype=_TABLE_DTYPE)
+    if not all((t >= 0).all() and (t < n).all() for t in tables):
+        return None, "operation result out of code range"
+    bad = _first_bad(add_t[zero] != codes)
+    if bad:
+        return [("x", int(bad[0]))], "zero is not an additive identity"
+    bad = _first_bad(add_t[codes, neg_t] != zero)
+    if bad:
+        return [("x", int(bad[0]))], "neg is not an additive inverse"
+    bad = _first_bad(add_t != add_t.T)
+    if bad:
+        return [("a", int(bad[0])), ("b", int(bad[1]))], "addition is not commutative"
+    bad = _first_bad(mul_t[one] != codes)
+    if bad:
+        return [("a", one), ("b", int(bad[0]))], "one is not a left identity"
+    bad = _first_bad(mul_t[:, one] != codes)
+    if bad:
+        return [("a", int(bad[0])), ("b", one)], "one is not a right identity"
+    return None
+
+
+def _ternary_scan(add_t: np.ndarray, mul_t: np.ndarray) -> Optional[tuple]:
+    """The first violation of the four ternary laws, as (witness, note), or None.
+
+    Scans all N^3 triples in chunks over the first operand; within a chunk
+    the laws are tried in the order additive associativity, multiplicative
+    associativity, left and right distributivity.
+    """
+    n = len(add_t)
+    codes = np.arange(n, dtype=_TABLE_DTYPE)
+    chunk = max(1, (1 << 24) // max(1, n * n))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        a = np.arange(lo, hi)
+        # (a+b)+c vs a+(b+c)
+        left = add_t[add_t[a][:, :, None], codes[None, None, :]]
+        right = add_t[a[:, None, None], add_t[None, :, :]]
+        bad = _first_bad(left != right)
+        if bad:
+            return (
+                [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
+                "addition is not associative",
+            )
+        # (a*b)*c vs a*(b*c)
+        left = mul_t[mul_t[a][:, :, None], codes[None, None, :]]
+        right = mul_t[a[:, None, None], mul_t[None, :, :]]
+        bad = _first_bad(left != right)
+        if bad:
+            return (
+                [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
+                "multiplication is not associative",
+            )
+        # a*(b+c) vs a*b + a*c
+        left = mul_t[a[:, None, None], add_t[None, :, :]]
+        rows = mul_t[a]
+        right = add_t[rows[:, :, None], rows[:, None, :]]
+        bad = _first_bad(left != right)
+        if bad:
+            return (
+                [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
+                "left distributivity fails",
+            )
+        # (b+c)*a vs b*a + c*a
+        cols = mul_t[:, a]
+        left = mul_t[add_t[:, :, None], a[None, None, :]]
+        right = add_t[cols[:, None, :], cols[None, :, :]]
+        bad = _first_bad(left != right)
+        if bad:
+            return (
+                [("a", int(bad[2]) + lo), ("b", int(bad[0])), ("c", int(bad[1]))],
+                "right distributivity fails",
+            )
+    return None
+
+
+def _additive_generators(add_t: np.ndarray, zero: int) -> Optional[np.ndarray]:
+    """Codes S such that every code is reached from zero by steps x -> x + s, s in S.
+
+    S is picked greedily, the least code not yet reached first.  When the
+    table is a group, each pick at least doubles the reached subgroup, so
+    |S| <= log2 N; None means that bound was passed, which only a table that
+    is not a group can cause.
+    """
+    n = len(add_t)
+    seen = np.zeros(n, dtype=bool)
+    seen[zero] = True
+    gens: list[int] = []
+    while not seen.all():
+        if len(gens) == n.bit_length() - 1:
+            return None
+        g = int(np.argmin(seen))
+        gens.append(g)
+        steps = np.array(gens)
+        # level by level: the new generator on everything reached so far,
+        # then every generator on what each level newly reaches
+        frontier = add_t[np.flatnonzero(seen), g]
+        while True:
+            frontier = np.unique(frontier[~seen[frontier]])
+            if frontier.size == 0:
+                break
+            seen[frontier] = True
+            frontier = add_t[np.ix_(frontier, steps)].ravel()
+    return np.array(gens)
+
+
+def _left_distributive(add_t: np.ndarray, mul_t: np.ndarray, s: int, rows: int) -> bool:
+    """Whether a*(b+s) == a*b + a*s for all codes a, b."""
+    n = len(add_t)
+    add_flat = add_t.ravel()
+    shifted = add_t[:, s]
+    for lo in range(0, n, rows):
+        block = mul_t[lo : lo + rows]
+        left = np.take(block, shifted, axis=1)
+        # row a of a*b + a*s reads row a*s of the add table
+        right = add_flat.take(block + (block[:, s].astype(np.int64) * n)[:, None])
+        if not np.array_equal(left, right):
+            return False
+    return True
+
+
+def _ternary_by_generators(add_t: np.ndarray, mul_t: np.ndarray, zero: int) -> Optional[bool]:
+    """Whether the four ternary laws hold, decided in O(N^2 * |S|).
+
+    Assumes the laws of _table_violation hold.  S is a set of additive
+    generators (_additive_generators); None when none with |S| <= log2 N is
+    found.  Each step is sound given the ones before it:
+
+    - additive associativity, Light's test: (x+s)+y == x+(s+y) for all x, y
+      and each s in S.  The s for which it holds are closed under + and
+      contain zero, so they are every code reached from zero, that is all.
+    - distributivity on each side: a*(b+s) == a*b + a*s and
+      (b+s)*a == b*a + s*a.  With + an abelian group, the s for which it
+      holds are closed under +, so multiplication is bi-additive.
+    - multiplicative associativity on S^3 only: both (a*b)*c and a*(b*c)
+      are tri-additive, and every code is a sum of generators.
+
+    False means some law fails on a generator.
+    """
+    gens = _additive_generators(add_t, zero)
+    if gens is None:
+        return None
+    n = len(add_t)
+    rows = max(1, (1 << 22) // n)
+    for s in gens:
+        for lo in range(0, n, rows):
+            block = add_t[lo : lo + rows]
+            if not np.array_equal(add_t[block[:, s]], np.take(block, add_t[s], axis=1)):
+                return False
+    mul_op = np.ascontiguousarray(mul_t.T)  # right distributivity of R is left distributivity of R^op
+    for m in (mul_t, mul_op):
+        if not all(_left_distributive(add_t, m, int(s), rows) for s in gens):
+            return False
+    ab = mul_t[np.ix_(gens, gens)]
+    left = mul_t[ab[:, :, None], gens[None, None, :]]
+    right = mul_t[gens[:, None, None], ab[None, :, :]]
+    return bool(np.array_equal(left, right))
+
+
 def verify_ring_axioms(R: FiniteRing, seed: int = 0, sample_triples: int = AXIOM_SAMPLE_TRIPLES) -> Verdict:
     """Check the ring axioms, exhaustively up to the size threshold.
 
-    Above AXIOM_EXHAUSTIVE_LIMIT (or when no tables fit the budget) the
-    ternary laws are checked on a seeded deterministic sample of triples and
-    the verdict records mode="sampled".  The witness is the first violating
-    tuple in scan order.
+    Up to AXIOM_EXHAUSTIVE_LIMIT elements, when the operation tables fit the
+    memo budget, the verdict (mode="exhaustive") is a proof over all
+    elements.  The laws that cost O(N^2) (ranges, identities, inverses,
+    commutativity of addition) are checked cell by cell.  The ternary laws
+    are then proved in O(N^2 log N) from a set S of at most log2 N additive
+    generators: additive associativity by Light's test on S, distributivity
+    on both sides on N x N x S, hence bi-additivity, and multiplicative
+    associativity on S^3.  When no such S is found, or any of these checks
+    fails, the ternary laws are rescanned over all N^3 triples, and a failed
+    verdict's witness is the first violating tuple in that scan's order.
+
+    Above the threshold (or when no tables fit the budget) the ternary laws
+    are checked on a seeded deterministic sample of triples and the verdict
+    records mode="sampled"; the witness is the first violating tuple drawn.
     """
     start = time.perf_counter()
     n = R.size
@@ -327,77 +503,17 @@ def verify_ring_axioms(R: FiniteRing, seed: int = 0, sample_triples: int = AXIOM
 
     tables = R.try_tables() if n <= AXIOM_EXHAUSTIVE_LIMIT else None
     if tables is not None:
-        add_t, mul_t, neg_t = tables
-        codes = np.arange(n, dtype=_TABLE_DTYPE)
-
-        rng_ok = (add_t >= 0).all() and (add_t < n).all() and (mul_t >= 0).all() and (mul_t < n).all()
-        if not rng_ok:
-            return done(False, None, "operation result out of code range")
-
-        bad = _first_bad(add_t[R.zero] != codes)
-        if bad:
-            return done(False, [("x", int(bad[0]))], "zero is not an additive identity")
-        bad = _first_bad(add_t[codes, neg_t] != R.zero)
-        if bad:
-            return done(False, [("x", int(bad[0]))], "neg is not an additive inverse")
-        bad = _first_bad(add_t != add_t.T)
-        if bad:
-            return done(False, [("a", int(bad[0])), ("b", int(bad[1]))], "addition is not commutative")
-
-        bad = _first_bad(mul_t[R.one] != codes)
-        if bad:
-            return done(False, [("a", R.one), ("b", int(bad[0]))], "one is not a left identity")
-        bad = _first_bad(mul_t[:, R.one] != codes)
-        if bad:
-            return done(False, [("a", int(bad[0])), ("b", R.one)], "one is not a right identity")
-
-        # ternary laws, chunked over the first operand
-        chunk = max(1, (1 << 24) // max(1, n * n))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            a = np.arange(lo, hi)
-            # (a+b)+c vs a+(b+c)
-            left = add_t[add_t[a][:, :, None], codes[None, None, :]]
-            right = add_t[a[:, None, None], add_t[None, :, :]]
-            bad = _first_bad(left != right)
-            if bad:
-                return done(
-                    False,
-                    [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
-                    "addition is not associative",
-                )
-            # (a*b)*c vs a*(b*c)
-            left = mul_t[mul_t[a][:, :, None], codes[None, None, :]]
-            right = mul_t[a[:, None, None], mul_t[None, :, :]]
-            bad = _first_bad(left != right)
-            if bad:
-                return done(
-                    False,
-                    [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
-                    "multiplication is not associative",
-                )
-            # a*(b+c) vs a*b + a*c
-            left = mul_t[a[:, None, None], add_t[None, :, :]]
-            rows = mul_t[a]
-            right = add_t[rows[:, :, None], rows[:, None, :]]
-            bad = _first_bad(left != right)
-            if bad:
-                return done(
-                    False,
-                    [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
-                    "left distributivity fails",
-                )
-            # (b+c)*a vs b*a + c*a
-            cols = mul_t[:, a]
-            left = mul_t[add_t[:, :, None], a[None, None, :]]
-            right = add_t[cols[:, None, :], cols[None, :, :]]
-            bad = _first_bad(left != right)
-            if bad:
-                return done(
-                    False,
-                    [("a", int(bad[2]) + lo), ("b", int(bad[0])), ("c", int(bad[1]))],
-                    "right distributivity fails",
-                )
+        bad = _table_violation(tables, R.zero, R.one)
+        if bad is None:
+            proved = _ternary_by_generators(tables.add, tables.mul, R.zero)
+            if not proved:
+                bad = _ternary_scan(tables.add, tables.mul)
+                if bad is None and proved is False:
+                    raise RuntimeError(
+                        f"internal error: the generator test fails on {R.label} but no triple does"
+                    )
+        if bad is not None:
+            return done(False, *bad)
         return done(True)
 
     # sampled mode: unary/identity laws in full, ternary laws on a seeded sample

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ringlab.cli import main
 
 
@@ -86,6 +88,21 @@ def test_max_size_flag_and_env(capsys, monkeypatch):
     assert code == 2
     code, _, _ = run_cli(capsys, "classify", "Z(99)")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_max_size_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("RINGLAB_MAX_SIZE", value)
+    code, out, err = run_cli(capsys, "table")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max size must be a positive integer")
+
+
+def test_nonpositive_max_size_flag_exits_2(capsys):
+    code, _, err = run_cli(capsys, "classify", "Z(5)", "--max-size", "-5")
+    assert code == 2
+    assert err.startswith("error: max size must be a positive integer")
 
 
 def test_list_units_of_integers(capsys):
