@@ -15,6 +15,7 @@ always code 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -61,6 +62,22 @@ def _weights(sizes: Sequence[int]) -> tuple[list[int], int]:
     return weights, total
 
 
+class _DigitKernel(NamedTuple):
+    """A tuple ring's add/mul/neg on code arrays, digit by digit through its
+    base rings' tables, and its unit bitset from digits (None when the
+    construction has no digit test for units)."""
+
+    add: Callable
+    mul: Callable
+    neg: Callable
+    unit_mask: Callable[[], Optional[np.ndarray]]
+
+
+def _units_of(tables: OpTables, one: int) -> np.ndarray:
+    """Unit bitset of a ring with tables: a right inverse is two-sided in a finite ring."""
+    return (tables.mul == one).any(axis=1)
+
+
 def _tuple_ring(
     bases: Sequence[FiniteRing],
     mul_digits: Callable,
@@ -71,8 +88,18 @@ def _tuple_ring(
     meta: dict,
     guard: ResourceGuard,
     render_digits: Optional[Callable[[list[int]], str]] = None,
+    unit_digits: Optional[Callable[[list[np.ndarray], list[OpTables]], Optional[np.ndarray]]] = None,
 ) -> FiniteRing:
-    """Assemble a ring whose elements are digit tuples over base rings."""
+    """Assemble a ring whose elements are digit tuples over base rings.
+
+    mul_digits runs on scalar digits for the scalar operations and on digit
+    arrays for the ring's digit kernel (FiniteRing.digit_kernel): add/mul/neg
+    on arrays of codes through the base rings' tables.  The kernel needs no
+    table of the ring itself, so it serves rings beyond the memo budget, and
+    it builds the tables of those within it.  unit_digits, when given, maps
+    the digit arrays of all codes and the base tables to the unit bitset, or
+    to None when it does not apply to these bases.
+    """
     sizes = [b.size for b in bases]
     weights, total = _weights(sizes)
     guard.check_ring_size(total, what=kind)
@@ -83,7 +110,8 @@ def _tuple_ring(
     width = len(bases)
     scalar_ops = [_scalar_ops(b) for b in bases]
 
-    def decode(code: int) -> list[int]:
+    def decode(code):
+        # works on int codes and on code arrays alike
         return [(code // weights[t]) % sizes[t] for t in range(width)]
 
     def encode(digits) -> int:
@@ -100,33 +128,42 @@ def _tuple_ring(
     def mul(i: int, j: int) -> int:
         return encode(mul_digits(decode(i), decode(j), scalar_ops))
 
-    def vec_builder() -> OpTables:
-        tabs = [b.tables() for b in bases]
+    @functools.cache
+    def digit_kernel() -> Optional[_DigitKernel]:
+        tabs = [b.try_tables() for b in bases]
+        if any(t is None for t in tabs):
+            return None
         vops = [_vector_ops(t) for t in tabs]
-        codes = np.arange(total, dtype=np.int64)
-        digits = [((codes // weights[t]) % sizes[t]).astype(_DT) for t in range(width)]
 
         def encode_vec(parts) -> np.ndarray:
-            acc = None
-            for part, w in zip(parts, weights):
-                term = np.asarray(part, dtype=np.int64) * w
-                acc = term if acc is None else acc + term
-            return acc.astype(_DT)
+            return sum(np.asarray(part, dtype=np.int64) * w for part, w in zip(parts, weights))
 
-        neg_t = encode_vec([tabs[t].neg[digits[t]] for t in range(width)])
+        @functools.cache
+        def unit_mask() -> Optional[np.ndarray]:
+            if unit_digits is None:
+                return None
+            return unit_digits(decode(np.arange(total, dtype=np.int64)), tabs)
 
+        return _DigitKernel(
+            lambda x, y: encode_vec([o.add(a, b) for o, a, b in zip(vops, decode(x), decode(y))]),
+            lambda x, y: encode_vec(mul_digits(decode(x), decode(y), vops)),
+            lambda x: encode_vec([o.neg(a) for o, a in zip(vops, decode(x))]),
+            unit_mask,
+        )
+
+    def vec_builder() -> OpTables:
+        for b in bases:
+            b.tables()  # raises SizeExceeded when a base exceeds its memo budget
+        ops = digit_kernel()
+        codes = np.arange(total, dtype=np.int64)
         chunk = max(1, (1 << 22) // total)
         add_t = np.empty((total, total), dtype=_DT)
         mul_t = np.empty((total, total), dtype=_DT)
         for lo in range(0, total, chunk):
-            hi = min(total, lo + chunk)
-            xs = [digits[t][lo:hi][:, None] for t in range(width)]
-            ys = [digits[t][None, :] for t in range(width)]
-            add_t[lo:hi] = encode_vec(
-                [tabs[t].add[xs[t], ys[t]] for t in range(width)]
-            )
-            mul_t[lo:hi] = encode_vec(mul_digits(xs, ys, vops))
-        return OpTables(add_t, mul_t, neg_t)
+            rows = codes[lo : lo + chunk, None]
+            add_t[lo : lo + chunk] = ops.add(rows, codes[None, :])
+            mul_t[lo : lo + chunk] = ops.mul(rows, codes[None, :])
+        return OpTables(add_t, mul_t, ops.neg(codes))
 
     def render(code: int) -> str:
         digs = decode(code)
@@ -149,6 +186,7 @@ def _tuple_ring(
         guard=guard,
         render=render,
         vec_builder=vec_builder,
+        digit_kernel=digit_kernel,
     )
 
 
@@ -333,7 +371,12 @@ def make_gf(q: int, guard: Optional[ResourceGuard] = None) -> FiniteRing:
 
 
 def make_matrix(R: FiniteRing, k: int, guard: Optional[ResourceGuard] = None) -> FiniteRing:
-    """Full k x k matrix ring over R; digits are row-major entries."""
+    """Full k x k matrix ring over R; digits are row-major entries.
+
+    Over a commutative base (symmetric mul table) the digit kernel's unit
+    mask is exact: a matrix is a unit when its determinant, computed by the
+    Leibniz formula through the base tables, is a unit of R.
+    """
     guard = guard or R.guard
     if k < 1:
         raise RangeCheckError("matrix size must be >= 1")
@@ -352,6 +395,21 @@ def make_matrix(R: FiniteRing, k: int, guard: Optional[ResourceGuard] = None) ->
 
     one_digits = [R.one if r == c else 0 for r in range(k) for c in range(k)]
 
+    def unit_digits(digits, tabs):
+        t = tabs[0]
+        if not np.array_equal(t.mul, t.mul.T):
+            return None  # determinants need a commutative base
+        det = None
+        for perm in itertools.permutations(range(k)):
+            term = digits[perm[0]]
+            for r in range(1, k):
+                term = t.mul[term, digits[r * k + perm[r]]]
+            inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            if inversions % 2:
+                term = t.neg[term]
+            det = term if det is None else t.add[det, term]
+        return _units_of(t, R.one)[det]
+
     def render_digits(digs):
         rows = [
             "[" + ",".join(R.render(digs[r * k + c]) for c in range(k)) + "]"
@@ -368,6 +426,7 @@ def make_matrix(R: FiniteRing, k: int, guard: Optional[ResourceGuard] = None) ->
         meta={"base": R, "k": k},
         guard=guard,
         render_digits=render_digits,
+        unit_digits=unit_digits,
     )
 
 
@@ -536,7 +595,11 @@ def make_polyquot(R: FiniteRing, k: int, guard: Optional[ResourceGuard] = None) 
 
 
 def make_product(components: Sequence[FiniteRing], guard: Optional[ResourceGuard] = None) -> FiniteRing:
-    """Direct product with componentwise operations."""
+    """Direct product with componentwise operations.
+
+    The digit kernel's unit mask marks the tuples whose every component is
+    a unit.
+    """
     components = list(components)
     if not components:
         raise RangeCheckError("product needs at least one component")
@@ -550,6 +613,12 @@ def make_product(components: Sequence[FiniteRing], guard: Optional[ResourceGuard
     def mul_digits(X, Y, ops):
         return [ops[t].mul(X[t], Y[t]) for t in range(width)]
 
+    def unit_digits(digits, tabs):
+        # a tuple is a unit exactly when every component is
+        return np.logical_and.reduce(
+            [_units_of(t, c.one)[d] for c, t, d in zip(components, tabs, digits)]
+        )
+
     return _tuple_ring(
         components,
         mul_digits,
@@ -558,6 +627,7 @@ def make_product(components: Sequence[FiniteRing], guard: Optional[ResourceGuard
         kind="product",
         meta={"components": tuple(components)},
         guard=guard,
+        unit_digits=unit_digits,
     )
 
 

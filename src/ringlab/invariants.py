@@ -19,17 +19,30 @@ from .core import FiniteRing
 from .errors import AxiomViolation, UnsupportedPredicate
 
 
-def vector_pow(tabs, base: np.ndarray, n: int, one: int) -> np.ndarray:
-    """Elementwise base**n by square-and-multiply through the mul table."""
+def vector_pow_by(mul, base: np.ndarray, n: int, one: int) -> np.ndarray:
+    """Elementwise base**n by square-and-multiply through mul on code arrays."""
     result = np.full(base.size, one, dtype=np.int64)
     b = base.astype(np.int64)
     k = n
     while k:
         if k & 1:
-            result = tabs.mul[result, b]
-        b = tabs.mul[b, b]
+            result = mul(result, b)
+        b = mul(b, b)
         k >>= 1
     return result
+
+
+def vector_pow(tabs, base: np.ndarray, n: int, one: int) -> np.ndarray:
+    """Elementwise base**n by square-and-multiply through the mul table."""
+    return vector_pow_by(lambda x, y: tabs.mul[x, y], base, n, one)
+
+
+def nil_mask_by(mul, codes: np.ndarray, size: int, zero: int) -> np.ndarray:
+    """Which codes are nilpotent: a^(2^ceil(log2 N)) = 0 is exact in a ring of size N."""
+    v = codes
+    for _ in range(max(1, math.ceil(math.log2(size)))):
+        v = mul(v, v)
+    return v == zero
 
 
 class StructureCache:
@@ -66,10 +79,8 @@ class StructureCache:
         if "nil" not in self._d:
             tabs = self._tables()
             N = self.ring.size
-            v = np.arange(N, dtype=np.int64)
-            for _ in range(max(1, math.ceil(math.log2(N)))):
-                v = tabs.mul[v, v]
-            self._d["nil"] = v == self.ring.zero
+            codes = np.arange(N, dtype=np.int64)
+            self._d["nil"] = nil_mask_by(lambda x, y: tabs.mul[x, y], codes, N, self.ring.zero)
         return self._d["nil"]
 
     @property

@@ -17,7 +17,14 @@ import numpy as np
 from .constructions import IdealSet, IntegersOracle, decode_digits, prime_power
 from .core import Elem, FiniteRing, Verdict, characteristic
 from .errors import AxiomViolation, NotAPrimePower, WrongRingKind
-from .invariants import cache, is_nilpotent_code, multiplicative_order, vector_pow
+from .invariants import (
+    cache,
+    is_nilpotent_code,
+    multiplicative_order,
+    nil_mask_by,
+    vector_pow,
+    vector_pow_by,
+)
 
 MAX_POW_EXPONENT = 1 << 62
 
@@ -51,6 +58,35 @@ def _unit_inverse_scan(R: FiniteRing, u: int) -> Optional[int]:
     return None
 
 
+def _first_non_nilpotent(R: FiniteRing, kernel, values: np.ndarray) -> Optional[int]:
+    """Index of the first value that is not nilpotent, squaring through the kernel."""
+    bad = np.flatnonzero(~nil_mask_by(kernel.mul, values, R.size, R.zero))
+    return int(bad[0]) if bad.size else None
+
+
+def _n_uu_by_kernel(R: FiniteRing, n: int, start: float) -> Optional[Verdict]:
+    """u**n - 1 for every unit at once through the ring's digit kernel.
+
+    None when the ring has no kernel or no unit mask.  The witness is the
+    least unit whose defect is not nilpotent, which is the one the ascending
+    scan finds; it is re-verified with an explicit two-sided inverse.
+    """
+    kernel = R.digit_kernel()
+    mask = None if kernel is None else kernel.unit_mask()
+    if mask is None:
+        return None
+    units = np.flatnonzero(mask)
+    defect = kernel.add(vector_pow_by(kernel.mul, units, n, R.one), R.neg(R.one))
+    bad = _first_non_nilpotent(R, kernel, defect)
+    if bad is None:
+        return _verdict(True, start, note="found by digit kernel")
+    u = int(units[bad])
+    inverse = np.flatnonzero(kernel.mul(u, np.arange(R.size, dtype=np.int64)) == R.one)
+    if inverse.size == 0 or int(kernel.mul(int(inverse[0]), u)) != R.one:
+        raise AxiomViolation(f"unit mask of {R.label} admits code {u}, which has no two-sided inverse")
+    return _verdict(False, start, witness=[("u", u)], note="found by digit kernel")
+
+
 def _n_uu_by_scan(R: FiniteRing, n: int, start: float) -> Verdict:
     """Ascending witness scan: cheap nilpotence filter first, unit check after."""
     for a in range(R.size):
@@ -73,8 +109,13 @@ def is_n_uu(R, n: int) -> Verdict:
     The n with u**n - 1 nilpotent are the multiples of the unit's exponent
     d_u (powers of u commute, and a sum of commuting nilpotents is
     nilpotent), so R is n-UU exactly when uu_exponent(R) divides n, and the
-    witness is the least unit u with d_u not dividing n.  Rings beyond the
-    memo budget are decided by an element scan instead.
+    witness is the least unit u with d_u not dividing n.
+
+    Rings beyond the memo budget are decided without their tables: by the
+    digit kernel when the ring has one and a unit mask (matrix rings over a
+    commutative base with tables, products of rings with tables), otherwise
+    by an element scan.  The note names the route ("digit kernel" or
+    "element scan"); both return the least failing unit as witness.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -84,7 +125,8 @@ def is_n_uu(R, n: int) -> Verdict:
             return _verdict(True, start, exponents={"uu_exponent": 2})
         return _verdict(False, start, witness=[("u", -1)], exponents={"uu_exponent": 2})
     if R.try_tables() is None:
-        return _n_uu_by_scan(R, n, start)
+        verdict = _n_uu_by_kernel(R, n, start)
+        return verdict if verdict is not None else _n_uu_by_scan(R, n, start)
     c = cache(R)
     d = c.uu_exponent
     if n % d == 0:
@@ -136,13 +178,24 @@ def is_periodic_element(a: Elem) -> Verdict:
 
 
 def is_strongly_n_nil_clean(R, n: int) -> Verdict:
-    """Whether a - a**n is nilpotent for every element a."""
+    """Whether a - a**n is nilpotent for every element a.
+
+    Rings beyond the memo budget are decided through their digit kernel
+    when they have one, otherwise element by element; the witness is the
+    least failing a on every route.
+    """
     if n < 2:
         raise ValueError("strongly n-nil-clean needs n >= 2")
     start = time.perf_counter()
     if isinstance(R, IntegersOracle):
         R.reject("is_strongly_n_nil_clean")
     tabs = R.try_tables()
+    kernel = R.digit_kernel() if tabs is None else None
+    if kernel is not None:
+        codes = np.arange(R.size, dtype=np.int64)
+        defect = kernel.add(codes, kernel.neg(vector_pow_by(kernel.mul, codes, n, R.one)))
+        bad = _first_non_nilpotent(R, kernel, defect)
+        return _verdict(bad is None, start, witness=None if bad is None else [("a", bad)])
     if tabs is None:
         for a in range(R.size):
             d = R.sub(a, R.pow_code(a, n))

@@ -232,6 +232,24 @@ def test_axioms_reject_negation_out_of_code_range(neg_zero):
     assert verdict.note == "operation result out of code range"
 
 
+@pytest.mark.parametrize("op, offset", [("neg", -5), ("neg", 5), ("add", 5), ("mul", 5)])
+def test_sampled_axioms_reject_results_out_of_code_range(op, offset):
+    # neg(0), or 2 + 2 or 2 * 2, is off by the modulus: every law still holds
+    # modulo 5, so only the range check can tell
+    guard = rl.ResourceGuard(mul_memo_budget_bytes=16)
+    base = make_zmod(5, guard)
+    ops = {
+        "add": lambda i, j: base._add(i, j) + (offset if (op, i, j) == ("add", 2, 2) else 0),
+        "mul": lambda i, j: base._mul(i, j) + (offset if (op, i, j) == ("mul", 2, 2) else 0),
+        "neg": lambda i: base._neg(i) + (offset if (op, i) == ("neg", 0) else 0),
+    }
+    broken = rl.FiniteRing(5, ops["add"], ops["mul"], ops["neg"], one=1, label="broken-range", guard=guard)
+    verdict = rl.verify_ring_axioms(broken, seed=3, sample_triples=5000)
+    assert not verdict.holds
+    assert verdict.mode == "sampled"
+    assert verdict.note == "operation result out of code range"
+
+
 def _routes_agree(tables, zero):
     # the generator route proves the ternary laws exactly when the scan finds no violation
     proved = core._ternary_by_generators(tables.add, tables.mul, zero)

@@ -7,6 +7,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import (
+    dsl,
     integers_oracle,
     make_corner,
     make_gf,
@@ -16,8 +17,9 @@ from ringlab import (
     make_triangular,
     make_zmod,
 )
+from ringlab.core import DEFAULT_MAX_RING_SIZE
 from ringlab.corpus import build_corpus
-from ringlab.errors import WrongRingKind
+from ringlab.errors import AxiomViolation, WrongRingKind
 from ringlab.groups import cyclic
 from ringlab.invariants import (
     cache,
@@ -113,6 +115,101 @@ def test_is_n_uu_exponent_route_matches_unit_powers():
         for n in ns:
             verdict = is_n_uu(R, n)
             assert (verdict.holds, verdict.witness) == _n_uu_by_unit_powers(R, n), (R.label, n)
+
+
+# -- routes above the memo budget ---------------------------------------------
+
+
+def _route_guards(size):
+    """Guards that send a ring of this size to the table, digit-kernel and element-scan routes."""
+    return {
+        "table": rl.ResourceGuard(),
+        # the ring's own two int32 tables miss the budget by one byte; every smaller base fits
+        "kernel": rl.ResourceGuard(mul_memo_budget_bytes=8 * size * size - 1),
+        # not even Z(2)'s tables (32 bytes) fit, so every operation is scalar
+        "scan": rl.ResourceGuard(mul_memo_budget_bytes=16),
+    }
+
+
+def _routes(expr):
+    size = dsl.elaborate(dsl.parse_ring_expr(expr)).size
+    return {route: dsl.elaborate(dsl.parse_ring_expr(expr), g) for route, g in _route_guards(size).items()}
+
+
+ROUTE_NOTES = {"table": None, "kernel": "found by digit kernel", "scan": "found by element scan"}
+UNIT_MASK_RINGS = [
+    "M(2,Z(2))", "M(2,Z(3))", "M(2,Z(4))", "M(2,GF(4))", "M(3,Z(2))", "Prod(Z(2),Z(3))", "Prod(Z(4),Z(9))",
+]
+
+
+@pytest.mark.parametrize("expr", UNIT_MASK_RINGS)
+def test_is_n_uu_routes_agree(expr):
+    rings = _routes(expr)
+    assert rings["table"].table_capable and not rings["kernel"].table_capable
+    for n in range(1, 25):
+        verdicts = {route: is_n_uu(R, n) for route, R in rings.items()}
+        assert {route: v.note for route, v in verdicts.items()} == ROUTE_NOTES
+        assert len({(v.holds, str(v.witness)) for v in verdicts.values()}) == 1, (expr, n, verdicts)
+
+
+@pytest.mark.parametrize("expr", UNIT_MASK_RINGS + ["T(2,Z(4))", "GF(8)"])
+def test_is_strongly_n_nil_clean_routes_agree(expr):
+    rings = _routes(expr)
+    assert rings["kernel"].digit_kernel() is not None and rings["scan"].digit_kernel() is None
+    for n in range(2, 9):
+        verdicts = [is_strongly_n_nil_clean(R, n) for R in rings.values()]
+        assert len({(v.holds, str(v.witness)) for v in verdicts}) == 1, (expr, n, verdicts)
+
+
+def test_digit_unit_mask_matches_the_table_units():
+    rings = [R for R in build_corpus() if not isinstance(R, str) and R.kind in ("matrix", "product")]
+    rings += [make_matrix(make_gf(q), m) for q, m in MATRIX_LCM_PAIRS]
+    assert len(rings) >= 15
+    for R in rings:
+        assert R.table_capable
+        mask = R.digit_kernel().unit_mask()
+        assert mask is not None and np.array_equal(mask, cache(R).unit_mask), R.label
+    # determinants need a commutative base, and other constructions have no digit unit test
+    for expr in ("M(2,T(2,Z(2)))", "T(2,Z(4))", "GF(8)", "TrivExt(Z(4))"):
+        assert dsl.elaborate(dsl.parse_ring_expr(expr)).digit_kernel().unit_mask() is None, expr
+
+
+def test_digit_kernel_witness_needs_a_two_sided_inverse():
+    R = _routes("M(2,Z(3))")["kernel"]
+    kernel = R.digit_kernel()
+    # a unit mask that admits zero: its defect -1 is not nilpotent, and it has no inverse
+    R._digit_kernel = lambda: kernel._replace(unit_mask=lambda: np.ones(R.size, dtype=bool))
+    with pytest.raises(AxiomViolation, match="no two-sided inverse"):
+        is_n_uu(R, 1)
+
+
+@pytest.mark.parametrize("expr", ["T(2,Z(2))", "T(2,Z(4))"])
+def test_is_n_uu_without_a_unit_mask_scans(expr):
+    rings = _routes(expr)
+    assert rings["kernel"].digit_kernel() is not None
+    for n in range(1, 25):
+        table = is_n_uu(rings["table"], n)
+        scan = is_n_uu(rings["kernel"], n)
+        assert scan.note == "found by element scan"
+        assert (scan.holds, scan.witness) == (table.holds, table.witness), (expr, n)
+
+
+def test_is_n_uu_above_the_memo_budget():
+    # MATRIX-LCM's closed form: uu_exponent(M(3,GF(3))) = lcm(2, 8, 26) = 104, and
+    # M(2,Z(16)) has the exponent of M(2,GF(2)) = M(2,Z(16))/J, lcm(1, 3) = 3
+    m3z3 = make_matrix(make_zmod(3), 3)
+    assert not m3z3.table_capable
+    verdicts = {n: is_n_uu(m3z3, n) for n in (1, 2, 3, 4, 6, 24, 104)}
+    assert {n: v.witness for n, v in verdicts.items()} == {
+        1: [("u", 819)], 2: [("u", 820)], 3: [("u", 819)], 4: [("u", 820)],
+        6: [("u", 820)], 24: [("u", 849)], 104: None,
+    }
+    assert verdicts[104].holds and lcm_criterion(3, 3) == 104
+    assert {v.note for v in verdicts.values()} == {"found by digit kernel"}
+    m2z16 = make_matrix(make_zmod(16), 2)
+    assert m2z16.size == DEFAULT_MAX_RING_SIZE
+    assert [n for n in range(1, 25) if is_n_uu(m2z16, n).holds] == list(range(3, 25, 3))
+    assert lcm_criterion(2, 2) == 3
 
 
 def test_is_n_uu_witness_recheck(m2z3):
