@@ -89,6 +89,7 @@ def _tuple_ring(
     guard: ResourceGuard,
     render_digits: Optional[Callable[[list[int]], str]] = None,
     unit_digits: Optional[Callable[[list[np.ndarray], list[OpTables]], Optional[np.ndarray]]] = None,
+    table_mul: Optional[Callable[[Callable], Callable]] = None,
 ) -> FiniteRing:
     """Assemble a ring whose elements are digit tuples over base rings.
 
@@ -98,7 +99,9 @@ def _tuple_ring(
     table of the ring itself, so it serves rings beyond the memo budget, and
     it builds the tables of those within it.  unit_digits, when given, maps
     the digit arrays of all codes and the base tables to the unit bitset, or
-    to None when it does not apply to these bases.
+    to None when it does not apply to these bases.  table_mul, when given,
+    maps the digit kernel's mul to another mul on code arrays, which builds
+    the ring's mul table in its place.
     """
     sizes = [b.size for b in bases]
     weights, total = _weights(sizes)
@@ -155,6 +158,7 @@ def _tuple_ring(
         for b in bases:
             b.tables()  # raises SizeExceeded when a base exceeds its memo budget
         ops = digit_kernel()
+        vmul = ops.mul if table_mul is None else table_mul(ops.mul)
         codes = np.arange(total, dtype=np.int64)
         chunk = max(1, (1 << 22) // total)
         add_t = np.empty((total, total), dtype=_DT)
@@ -162,7 +166,7 @@ def _tuple_ring(
         for lo in range(0, total, chunk):
             rows = codes[lo : lo + chunk, None]
             add_t[lo : lo + chunk] = ops.add(rows, codes[None, :])
-            mul_t[lo : lo + chunk] = ops.mul(rows, codes[None, :])
+            mul_t[lo : lo + chunk] = vmul(rows, codes[None, :])
         return OpTables(add_t, mul_t, ops.neg(codes))
 
     def render(code: int) -> str:
@@ -353,6 +357,22 @@ def make_gf(q: int, guard: Optional[ResourceGuard] = None) -> FiniteRing:
                 terms.append(xpow if c == 1 else f"{c}{xpow}")
         return " + ".join(terms) if terms else "0"
 
+    def log_mul(mul):
+        # g**k for k < q - 1 by doubling through the digit kernel's mul; the
+        # least g whose powers meet 1 only at k = 0 is primitive (code 1 is the one)
+        for g in range(2, q):
+            exp = np.ones(1, dtype=np.int64)
+            step = g
+            while exp.size < q - 1:
+                exp = np.concatenate([exp, mul(exp, step)])
+                step = int(mul(step, step))
+            exp = exp[: q - 1]
+            if (exp[1:] != 1).all():
+                break
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        return lambda x, y: np.where((x == 0) | (y == 0), 0, exp[(log[x] + log[y]) % (q - 1)])
+
     return _tuple_ring(
         [base] * e,
         mul_digits,
@@ -362,6 +382,7 @@ def make_gf(q: int, guard: Optional[ResourceGuard] = None) -> FiniteRing:
         meta={"p": p, "e": e, "q": q, "modulus": tuple(modulus)},
         guard=guard,
         render_digits=render_digits,
+        table_mul=log_mul,
     )
 
 

@@ -45,6 +45,10 @@ def nil_mask_by(mul, codes: np.ndarray, size: int, zero: int) -> np.ndarray:
     return v == zero
 
 
+# entries of one row block in the passes that cover all codes at once
+BLOCK_ENTRIES = 1 << 20
+
+
 class StructureCache:
     """Per-ring memo of the structural sets every predicate consumes."""
 
@@ -140,15 +144,20 @@ class StructureCache:
 
     @property
     def radical_mask(self) -> np.ndarray:
-        """J(R) by quasi-regularity: a with 1 - r*a a unit for every r."""
+        """J(R) by quasi-regularity: a with 1 - r*a a unit for every r.
+
+        Every code is a candidate (the nil check in radical() relies on it);
+        the rows r go in blocks of at most BLOCK_ENTRIES products.
+        """
         if "radical" not in self._d:
             tabs = self._tables()
             R = self.ring
             units = self.unit_mask
-            mask = np.zeros(R.size, dtype=bool)
-            for a in range(R.size):
-                candidates = tabs.add[R.one, tabs.neg[tabs.mul[:, a]]]
-                mask[a] = units[candidates].all()
+            one_minus = tabs.add[R.one][tabs.neg]
+            mask = np.ones(R.size, dtype=bool)
+            step = max(1, BLOCK_ENTRIES // R.size)
+            for lo in range(0, R.size, step):
+                mask &= units[one_minus[tabs.mul[lo : lo + step]]].all(axis=0)
             self._d["radical"] = mask
         return self._d["radical"]
 

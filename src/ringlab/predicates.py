@@ -18,6 +18,7 @@ from .constructions import IdealSet, IntegersOracle, decode_digits, prime_power
 from .core import Elem, FiniteRing, Verdict, characteristic
 from .errors import AxiomViolation, NotAPrimePower, WrongRingKind
 from .invariants import (
+    BLOCK_ENTRIES,
     cache,
     is_nilpotent_code,
     multiplicative_order,
@@ -31,6 +32,28 @@ MAX_POW_EXPONENT = 1 << 62
 
 def _verdict(holds, start, **kw) -> Verdict:
     return Verdict(holds=holds, elapsed=time.perf_counter() - start, **kw)
+
+
+def _first_uncovered(R: FiniteRing, cols: np.ndarray, ok) -> Optional[int]:
+    """Least code a such that ok(a, c) fails for every c in cols, or None.
+
+    ok gets a column of codes and a row of cols and returns their broadcast
+    boolean mask; codes go in ascending row blocks of at most BLOCK_ENTRIES
+    entries, so no N x N temporary is built.
+    """
+    cols = cols[None, :]
+    step = max(1, BLOCK_ENTRIES // max(1, cols.size))
+    for lo in range(0, R.size, step):
+        rows = np.arange(lo, min(lo + step, R.size), dtype=np.int64)[:, None]
+        bad = np.flatnonzero(~ok(rows, cols).any(axis=1))
+        if bad.size:
+            return lo + int(bad[0])
+    return None
+
+
+def _least_failure(bad: Optional[int], start: float) -> Verdict:
+    """Verdict of a universal check whose least failing element is bad (None: holds)."""
+    return _verdict(bad is None, start, witness=None if bad is None else [("a", bad)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +218,7 @@ def is_strongly_n_nil_clean(R, n: int) -> Verdict:
         codes = np.arange(R.size, dtype=np.int64)
         defect = kernel.add(codes, kernel.neg(vector_pow_by(kernel.mul, codes, n, R.one)))
         bad = _first_non_nilpotent(R, kernel, defect)
-        return _verdict(bad is None, start, witness=None if bad is None else [("a", bad)])
+        return _least_failure(bad, start)
     if tabs is None:
         for a in range(R.size):
             d = R.sub(a, R.pow_code(a, n))
@@ -257,12 +280,9 @@ def is_nil_clean(R) -> Verdict:
         R.reject("is_nil_clean")
     c = cache(R)
     tabs = R.tables()
-    E = c.idempotents
-    diffs = tabs.add[np.arange(R.size, dtype=np.int64)[:, None], tabs.neg[E][None, :]]
-    covered = c.nil_mask[diffs].any(axis=1)
-    if covered.all():
-        return _verdict(True, start)
-    return _verdict(False, start, witness=[("a", int(np.flatnonzero(~covered)[0]))])
+    nil = c.nil_mask
+    bad = _first_uncovered(R, c.idempotents, lambda a, e: nil[tabs.add[a, tabs.neg[e]]])
+    return _least_failure(bad, start)
 
 
 def _eu_pairs(R: FiniteRing):
@@ -314,12 +334,38 @@ def pi_regular_decompose(a: Elem) -> Verdict:
 
 
 def strongly_pi_regular(R) -> Verdict:
-    """Constructive check that every element admits the e*u + w decomposition."""
+    """Constructive check that every element admits the e*u + w decomposition.
+
+    All commuting (e, u) pairs are tried against all elements at once; the
+    success is memoized per ring.  On failure the least undecomposable code
+    goes through pi_regular_decompose, which raises AxiomViolation.
+    """
     start = time.perf_counter()
     if isinstance(R, IntegersOracle):
         R.reject("strongly_pi_regular")
-    for a in range(R.size):
-        pi_regular_decompose(R.elem(a))
+    c = cache(R)
+    if "pi_regular" not in c._d:
+        tabs = R.tables()
+        nil = c.nil_mask
+        pe, pu, eu = _eu_pairs(R)
+
+        def decomposes(a, k):
+            w = tabs.add[a, tabs.neg[eu[k]]]
+            e, u = pe[k], pu[k]
+            return (
+                nil[w]
+                & (tabs.mul[e, w] == tabs.mul[w, e])
+                & (tabs.mul[u, w] == tabs.mul[w, u])
+            )
+
+        bad = _first_uncovered(R, np.arange(eu.size), decomposes)
+        if bad is not None:
+            pi_regular_decompose(R.elem(bad))
+            raise RuntimeError(
+                f"internal error: code {bad} of {R.label} failed the pair scan "
+                "but decomposes on its own"
+            )
+        c._d["pi_regular"] = True
     return _verdict(True, start)
 
 
@@ -338,49 +384,32 @@ def _unit_n_potents(R: FiniteRing, n: int) -> np.ndarray:
     return c._d[key]
 
 
+def _splits(R: FiniteRing):
+    """ok(a, x) on code arrays: a - x is nilpotent and commutes with a.
+
+    a commutes with a - x exactly when it commutes with x.
+    """
+    tabs = R.tables()
+    nil = cache(R).nil_mask
+    return lambda a, x: nil[tabs.add[a, tabs.neg[x]]] & (tabs.mul[a, x] == tabs.mul[x, a])
+
+
 def _ev_decomposable(R: FiniteRing, n: int, middle: str) -> Verdict:
     """a = e*v + b with e idempotent, v an n-potent unit, b nilpotent, ab = ba,
     and the stated e/v compatibility ('ev=ve' or 've=eve')."""
     start = time.perf_counter()
-    c = cache(R)
     tabs = R.tables()
-    E = c.idempotents
-    V = _unit_n_potents(R, n)
-    pe = np.repeat(E, V.size)
-    pv = np.tile(V, E.size)
-    ev = tabs.mul[pe, pv]
-    ve = tabs.mul[pv, pe]
+    E = cache(R).idempotents[:, None]
+    V = _unit_n_potents(R, n)[None, :]
+    ev = tabs.mul[E, V]
+    ve = tabs.mul[V, E]
     if middle == "ev=ve":
         keep = ev == ve
     elif middle == "ve=eve":
-        keep = ve == tabs.mul[pe, ve]
+        keep = ve == tabs.mul[E, ve]
     else:
         raise ValueError(middle)
-    ev = ev[keep]
-    nil = c.nil_mask
-    for a in range(R.size):
-        b = tabs.add[a, tabs.neg[ev]]
-        okb = nil[b]
-        idx = np.flatnonzero(okb)
-        if idx.size == 0:
-            return _verdict(False, start, witness=[("a", a)])
-        bs = b[idx]
-        if not (tabs.mul[a, bs] == tabs.mul[bs, a]).any():
-            return _verdict(False, start, witness=[("a", a)])
-    return _verdict(True, start)
-
-
-def _strongly_nil_clean_element_codes(R: FiniteRing, codes: np.ndarray) -> np.ndarray:
-    """Mask over the given codes: b = e + q with e idempotent, q nilpotent, eq = qe."""
-    c = cache(R)
-    tabs = R.tables()
-    E = c.idempotents
-    out = np.zeros(codes.size, dtype=bool)
-    for i, b in enumerate(codes.tolist()):
-        q = tabs.add[b, tabs.neg[E]]
-        ok = c.nil_mask[q] & (tabs.mul[b, E] == tabs.mul[E, b])
-        out[i] = bool(ok.any())
-    return out
+    return _least_failure(_first_uncovered(R, np.unique(ev[keep]), _splits(R)), start)
 
 
 def thm1_condition(R, n: int, which: int) -> Verdict:
@@ -399,16 +428,7 @@ def thm1_condition(R, n: int, which: int) -> Verdict:
         R.reject("thm1_condition")
     start = time.perf_counter()
     if which == 1:
-        c = cache(R)
-        tabs = R.tables()
-        F = c.n_potents(n)
-        nil = c.nil_mask
-        for a in range(R.size):
-            b = tabs.add[a, tabs.neg[F]]
-            ok = nil[b] & (tabs.mul[a, F] == tabs.mul[F, a])
-            if not ok.any():
-                return _verdict(False, start, witness=[("a", a)])
-        return _verdict(True, start)
+        return _least_failure(_first_uncovered(R, cache(R).n_potents(n), _splits(R)), start)
     if which == 2:
         return _ev_decomposable(R, n, "ev=ve")
     if which == 3:
@@ -419,12 +439,10 @@ def thm1_condition(R, n: int, which: int) -> Verdict:
         c = cache(R)
         powers = c.pow_all(n - 1)
         unique = np.unique(powers)
-        good = _strongly_nil_clean_element_codes(R, unique)
-        lookup = dict(zip(unique.tolist(), good.tolist()))
-        for a in range(R.size):
-            if not lookup[int(powers[a])]:
-                return _verdict(False, start, witness=[("a", a)])
-        return _verdict(True, start)
+        # one |unique| x |E| mask: which powers are idempotent + commuting nilpotent
+        good = _splits(R)(unique[:, None], c.idempotents[None, :]).any(axis=1)
+        bad = np.flatnonzero(~good[np.searchsorted(unique, powers)])
+        return _least_failure(int(bad[0]) if bad.size else None, start)
     if which == 6:
         strongly_pi_regular(R)  # raises on engine bugs; always holds when finite
         sub = is_n_uu(R, n - 1)

@@ -24,7 +24,7 @@ from ringlab import (
     make_zmod,
     subring_closure,
 )
-from ringlab.constructions import decode_digits, scalar_code, smallest_irreducible
+from ringlab.constructions import decode_digits, prime_power, scalar_code, smallest_irreducible
 from ringlab.errors import (
     NotAnIdeal,
     NotAPrimePower,
@@ -154,6 +154,23 @@ def test_gf_multiplication_against_polynomial_oracle():
             expected = poly_mul(da, db)
             got = decode_digits(gf, gf.mul(a, b))
             assert got == expected
+
+
+def test_gf_tables_match_the_digit_kernel():
+    # the mul table comes from discrete logarithms, add and neg from digits;
+    # all three must equal the digit kernel's, entry for entry
+    for q in range(4, 730):
+        pe = prime_power(q)
+        if pe is None or pe[1] == 1:
+            continue
+        gf = make_gf(q)
+        kernel = gf.digit_kernel()
+        codes = np.arange(q, dtype=np.int64)
+        rows, cols = codes[:, None], codes[None, :]
+        tabs = gf.tables()
+        assert np.array_equal(tabs.add, kernel.add(rows, cols)), q
+        assert np.array_equal(tabs.mul, kernel.mul(rows, cols)), q
+        assert np.array_equal(tabs.neg, kernel.neg(codes)), q
 
 
 # -- matrix-shaped rings ---------------------------------------------------------

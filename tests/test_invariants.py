@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import make_gf, make_matrix, make_zmod
+from ringlab import invariants, make_gf, make_matrix, make_quotient, make_zmod
 from ringlab.constructions import decode_digits
+from ringlab.corpus import build_corpus
 from ringlab.invariants import (
     cache,
     center,
@@ -108,6 +109,26 @@ def test_radical_t2z2_brute_force(t2z2):
     got = jacobson_radical(t2z2).members().tolist()
     assert got == expected
     assert len(got) == 2  # zero and the strictly-upper matrix unit
+
+
+def _radical_by_elements(R):
+    """a in J(R) iff 1 - r*a is a unit for every r, one element a at a time."""
+    tabs = R.tables()
+    units = cache(R).unit_mask
+    return np.array(
+        [units[tabs.add[R.one, tabs.neg[tabs.mul[:, a]]]].all() for a in range(R.size)]
+    )
+
+
+@pytest.mark.parametrize("block", [invariants.BLOCK_ENTRIES, 97])
+def test_blocked_radical_matches_the_element_by_element_definition(block, monkeypatch):
+    monkeypatch.setattr(invariants, "BLOCK_ENTRIES", block)
+    for R in build_corpus():
+        if isinstance(R, str):
+            continue
+        quotient = make_quotient(R, jacobson_radical(R))
+        for ring in (R, quotient):
+            assert np.array_equal(cache(ring).radical_mask, _radical_by_elements(ring)), ring.label
 
 
 def test_radical_is_nilpotent_ideal(z12, m2z2, t2z2):

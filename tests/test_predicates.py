@@ -16,6 +16,7 @@ from ringlab import (
     make_quotient,
     make_triangular,
     make_zmod,
+    predicates,
 )
 from ringlab.core import DEFAULT_MAX_RING_SIZE
 from ringlab.corpus import build_corpus
@@ -31,6 +32,8 @@ from ringlab.invariants import (
     vector_pow,
 )
 from ringlab.predicates import (
+    _eu_pairs,
+    _unit_n_potents,
     augmentation,
     augmentation_ideal,
     is_n_uu,
@@ -44,6 +47,7 @@ from ringlab.predicates import (
     nil_clean_decompose,
     pi_regular_decompose,
     strongly_n_nil_clean_decompose,
+    strongly_pi_regular,
     thm1_condition,
     unipotent_order_check,
 )
@@ -342,6 +346,127 @@ def test_thm1_conditions_agree_on_small_rings(z4, z6, m2z2):
         for n in range(2, 8):
             flags = [thm1_condition(ring, n, w).holds for w in range(1, 7)]
             assert len(set(flags)) == 1, (ring.label, n, flags)
+
+
+def _strongly_pi_regular_by_elements(R):
+    """One pi_regular_decompose per element; raises AxiomViolation on the first failure."""
+    for a in range(R.size):
+        pi_regular_decompose(R.elem(a))
+
+
+def _thm1_by_elements(R, n, which):
+    """(holds, witness) of thm1_condition, one element at a time."""
+    c = cache(R)
+    tabs = R.tables()
+    nil = c.nil_mask
+    E = c.idempotents
+
+    def first_failure(splits):
+        for a in range(R.size):
+            if not splits(a):
+                return False, [("a", a)]
+        return True, None
+
+    if which == 1:
+        F = c.n_potents(n)
+        return first_failure(
+            lambda a: (nil[tabs.add[a, tabs.neg[F]]] & (tabs.mul[a, F] == tabs.mul[F, a])).any()
+        )
+    if which in (2, 3):
+        V = _unit_n_potents(R, n)
+        pe = np.repeat(E, V.size)
+        pv = np.tile(V, E.size)
+        ev = tabs.mul[pe, pv]
+        ve = tabs.mul[pv, pe]
+        ev = ev[ev == ve] if which == 2 else ev[ve == tabs.mul[pe, ve]]
+
+        def splits(a):
+            b = tabs.add[a, tabs.neg[ev]]
+            bs = b[nil[b]]
+            return (tabs.mul[a, bs] == tabs.mul[bs, a]).any()
+
+        return first_failure(splits)
+    if which == 4:
+        return first_failure(lambda a: nil[R.sub(a, R.pow_code(a, n))])
+    if which == 5:
+        powers = c.pow_all(n - 1)
+        return first_failure(
+            lambda a: (
+                nil[tabs.add[powers[a], tabs.neg[E]]]
+                & (tabs.mul[powers[a], E] == tabs.mul[E, powers[a]])
+            ).any()
+        )
+    return _n_uu_by_unit_powers(R, n - 1)
+
+
+def _nil_clean_by_elements(R):
+    """(holds, witness) of is_nil_clean, one element at a time."""
+    tabs = R.tables()
+    E = cache(R).idempotents
+    for a in range(R.size):
+        if not cache(R).nil_mask[tabs.add[a, tabs.neg[E]]].any():
+            return False, [("a", a)]
+    return True, None
+
+
+def _assert_blocked_passes_match_element_checks(rings):
+    for R in rings:
+        _strongly_pi_regular_by_elements(R)  # condition 6's first half, once per ring
+        verdict = is_nil_clean(R)
+        assert (verdict.holds, verdict.witness) == _nil_clean_by_elements(R), R.label
+        for n in range(2, 25):
+            for which in range(1, 7):
+                verdict = thm1_condition(R, n, which)
+                expected = _thm1_by_elements(R, n, which)
+                assert (verdict.holds, verdict.witness) == expected, (R.label, n, which)
+
+
+def test_thm1_conditions_match_the_element_by_element_checks():
+    # the blocked array passes against per-element checks: same verdict and
+    # least failing element, for every condition
+    _assert_blocked_passes_match_element_checks(R for R in build_corpus() if not isinstance(R, str))
+
+
+def test_blocked_passes_agree_across_row_blocks(monkeypatch):
+    # 97 entries per block: the rows of every ring below span many blocks
+    monkeypatch.setattr(predicates, "BLOCK_ENTRIES", 97)
+    rings = [
+        make_zmod(12),
+        make_matrix(make_zmod(2), 2),
+        make_matrix(make_zmod(3), 2),
+        make_triangular(make_zmod(4), 2),
+        rl.make_groupring(make_zmod(2), cyclic(4)),
+    ]
+    _assert_blocked_passes_match_element_checks(rings)
+
+
+@pytest.mark.parametrize(
+    "ring, cut, code",
+    [
+        # only e = 0: an element decomposes exactly when it is nilpotent
+        (lambda: make_zmod(4), lambda pe, pu, one: pe == 0, 1),
+        # e in {0, 1}: the unit must commute with the nilpotent part
+        (lambda: make_matrix(make_zmod(2), 2), lambda pe, pu, one: (pe == 0) | (pe == one), 1),
+        # u = 1: the idempotent must commute with the nilpotent part
+        (lambda: make_matrix(make_zmod(2), 2), lambda pe, pu, one: pu == one, 7),
+    ],
+)
+def test_strongly_pi_regular_names_the_least_undecomposable_code(ring, cut, code):
+    R = ring()
+    c = cache(R)
+    pe, pu, eu = _eu_pairs(R)
+    keep = cut(pe, pu, R.one)
+    c._d["eu_pairs"] = (pe[keep], pu[keep], eu[keep])
+    with pytest.raises(AxiomViolation) as raised:
+        strongly_pi_regular(R)
+    with pytest.raises(AxiomViolation) as by_elements:
+        _strongly_pi_regular_by_elements(R)
+    assert str(raised.value) == str(by_elements.value)
+    assert f"code {code} " in str(raised.value)
+    assert "pi_regular" not in c._d
+    c._d["eu_pairs"] = (pe, pu, eu)
+    assert strongly_pi_regular(R).holds
+    assert c._d["pi_regular"] is True
 
 
 def test_thm1_condition_validates_input(z4):
