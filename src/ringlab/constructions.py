@@ -3,10 +3,10 @@
 Most constructions present their elements as tuples of digits over smaller
 base rings (matrix entries, polynomial coefficients, group-ring
 coefficients, ...).  The shared machinery below writes each multiplication
-formula once against an ops adapter, which yields both the scalar
-operations and a vectorized table builder from the same code path.
-Derived carriers (corners, quotients, subrings) re-index a parent ring
-instead.
+formula once against the base rings' operations: their scalar methods give
+the scalar operations, their ops() give the ring's kernel on code arrays,
+from which FiniteRing builds the tables.  Derived carriers (corners,
+quotients, subrings) re-index a parent ring's operations instead.
 
 Element coding is the documented mixed-radix convention: digit i carries
 weight prod(sizes[:i]), so digit 0 varies fastest and the zero element is
@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_GUARD, FiniteRing, Elem, OpTables, ResourceGuard
+from .core import DEFAULT_GUARD, ArrayOps, FiniteRing, Elem, OpTables, ResourceGuard, characteristic
 from .errors import (
     NotAPrimePower,
     NotAnIdeal,
@@ -33,25 +33,6 @@ from .errors import (
 )
 from .groups import FiniteGroup, factorize
 
-_DT = np.int32
-
-
-class _Ops(NamedTuple):
-    """add/mul/neg working uniformly on int codes or index arrays."""
-
-    add: Callable
-    mul: Callable
-    neg: Callable
-
-
-def _scalar_ops(base: FiniteRing) -> _Ops:
-    return _Ops(base._add, base._mul, base._neg)
-
-
-def _vector_ops(tables: OpTables) -> _Ops:
-    add_t, mul_t, neg_t = tables
-    return _Ops(lambda x, y: add_t[x, y], lambda x, y: mul_t[x, y], lambda x: neg_t[x])
-
 
 def _weights(sizes: Sequence[int]) -> tuple[list[int], int]:
     weights = []
@@ -60,17 +41,6 @@ def _weights(sizes: Sequence[int]) -> tuple[list[int], int]:
         weights.append(total)
         total *= s
     return weights, total
-
-
-class _DigitKernel(NamedTuple):
-    """A tuple ring's add/mul/neg on code arrays, digit by digit through its
-    base rings' tables, and its unit bitset from digits (None when the
-    construction has no digit test for units)."""
-
-    add: Callable
-    mul: Callable
-    neg: Callable
-    unit_mask: Callable[[], Optional[np.ndarray]]
 
 
 def _units_of(tables: OpTables, one: int) -> np.ndarray:
@@ -93,15 +63,15 @@ def _tuple_ring(
 ) -> FiniteRing:
     """Assemble a ring whose elements are digit tuples over base rings.
 
-    mul_digits runs on scalar digits for the scalar operations and on digit
-    arrays for the ring's digit kernel (FiniteRing.digit_kernel): add/mul/neg
-    on arrays of codes through the base rings' tables.  The kernel needs no
-    table of the ring itself, so it serves rings beyond the memo budget, and
-    it builds the tables of those within it.  unit_digits, when given, maps
-    the digit arrays of all codes and the base tables to the unit bitset, or
-    to None when it does not apply to these bases.  table_mul, when given,
-    maps the digit kernel's mul to another mul on code arrays, which builds
-    the ring's mul table in its place.
+    mul_digits runs on the base rings themselves for the scalar operations
+    and on the bases' ops() for the ring's kernel: add/mul/neg on arrays of
+    codes, digit by digit.  The kernel needs no table of the ring itself, so
+    it serves rings beyond the memo budget, and it builds the tables of
+    those within it.  unit_digits, when given, maps the digit arrays of all
+    codes and the base tables to the unit bitset, or to None when it does
+    not apply to these bases; the mask is None too when a base has no
+    tables.  table_mul, when given, maps the digit mul to another mul on
+    code arrays, which builds the ring's mul table in its place.
     """
     sizes = [b.size for b in bases]
     weights, total = _weights(sizes)
@@ -111,7 +81,6 @@ def _tuple_ring(
             raise UnsupportedConstruction("base rings must place zero at code 0")
 
     width = len(bases)
-    scalar_ops = [_scalar_ops(b) for b in bases]
 
     def decode(code):
         # works on int codes and on code arrays alike
@@ -122,52 +91,41 @@ def _tuple_ring(
 
     def add(i: int, j: int) -> int:
         di, dj = decode(i), decode(j)
-        return encode(scalar_ops[t].add(di[t], dj[t]) for t in range(width))
+        return encode(bases[t].add(di[t], dj[t]) for t in range(width))
 
     def neg(i: int) -> int:
         di = decode(i)
-        return encode(scalar_ops[t].neg(di[t]) for t in range(width))
+        return encode(bases[t].neg(di[t]) for t in range(width))
 
     def mul(i: int, j: int) -> int:
-        return encode(mul_digits(decode(i), decode(j), scalar_ops))
+        return encode(mul_digits(decode(i), decode(j), bases))
 
     @functools.cache
-    def digit_kernel() -> Optional[_DigitKernel]:
-        tabs = [b.try_tables() for b in bases]
-        if any(t is None for t in tabs):
-            return None
-        vops = [_vector_ops(t) for t in tabs]
+    def kernel() -> ArrayOps:
+        vops = [b.ops() for b in bases]
 
         def encode_vec(parts) -> np.ndarray:
             return sum(np.asarray(part, dtype=np.int64) * w for part, w in zip(parts, weights))
 
+        def vmul(x, y):
+            return encode_vec(mul_digits(decode(x), decode(y), vops))
+
+        if table_mul is not None and guard.allows_tables(total):
+            vmul = table_mul(vmul)  # this kernel only builds the tables, which ops() reads instead
+
         @functools.cache
         def unit_mask() -> Optional[np.ndarray]:
-            if unit_digits is None:
+            tabs = [b.try_tables() for b in bases]
+            if unit_digits is None or any(t is None for t in tabs):
                 return None
             return unit_digits(decode(np.arange(total, dtype=np.int64)), tabs)
 
-        return _DigitKernel(
+        return ArrayOps(
             lambda x, y: encode_vec([o.add(a, b) for o, a, b in zip(vops, decode(x), decode(y))]),
-            lambda x, y: encode_vec(mul_digits(decode(x), decode(y), vops)),
+            vmul,
             lambda x: encode_vec([o.neg(a) for o, a in zip(vops, decode(x))]),
             unit_mask,
         )
-
-    def vec_builder() -> OpTables:
-        for b in bases:
-            b.tables()  # raises SizeExceeded when a base exceeds its memo budget
-        ops = digit_kernel()
-        vmul = ops.mul if table_mul is None else table_mul(ops.mul)
-        codes = np.arange(total, dtype=np.int64)
-        chunk = max(1, (1 << 22) // total)
-        add_t = np.empty((total, total), dtype=_DT)
-        mul_t = np.empty((total, total), dtype=_DT)
-        for lo in range(0, total, chunk):
-            rows = codes[lo : lo + chunk, None]
-            add_t[lo : lo + chunk] = ops.add(rows, codes[None, :])
-            mul_t[lo : lo + chunk] = vmul(rows, codes[None, :])
-        return OpTables(add_t, mul_t, ops.neg(codes))
 
     def render(code: int) -> str:
         digs = decode(code)
@@ -189,8 +147,7 @@ def _tuple_ring(
         meta=meta,
         guard=guard,
         render=render,
-        vec_builder=vec_builder,
-        digit_kernel=digit_kernel,
+        kernel=kernel,
     )
 
 
@@ -218,12 +175,13 @@ def make_zmod(n: int, guard: Optional[ResourceGuard] = None, *, label: Optional[
         raise RangeCheckError("modulus must be at least 2")
     guard.check_ring_size(n)
 
-    def vec_builder() -> OpTables:
-        codes = np.arange(n, dtype=np.int64)
-        add_t = ((codes[:, None] + codes[None, :]) % n).astype(_DT)
-        mul_t = ((codes[:, None] * codes[None, :]) % n).astype(_DT)
-        neg_t = ((-codes) % n).astype(_DT)
-        return OpTables(add_t, mul_t, neg_t)
+    def kernel() -> ArrayOps:
+        return ArrayOps(
+            lambda x, y: (np.asarray(x, dtype=np.int64) + y) % n,
+            lambda x, y: (np.asarray(x, dtype=np.int64) * y) % n,
+            lambda x: -np.asarray(x, dtype=np.int64) % n,
+            lambda: np.gcd(np.arange(n), n) == 1,
+        )
 
     meta = {"n": n}
     meta.update(extra_meta or {})
@@ -237,7 +195,7 @@ def make_zmod(n: int, guard: Optional[ResourceGuard] = None, *, label: Optional[
         kind=kind,
         meta=meta,
         guard=guard,
-        vec_builder=vec_builder,
+        kernel=kernel,
     )
 
 
@@ -531,18 +489,9 @@ def make_ks(R: FiniteRing, s: int, guard: Optional[ResourceGuard] = None) -> Fin
     )
 
 
-def _additive_order_of_one(R: FiniteRing) -> int:
-    x = R.one
-    k = 1
-    while x != R.zero:
-        x = R.add(x, R.one)
-        k += 1
-    return k
-
-
 def scalar_code(R: FiniteRing, s: int) -> int:
     """The code of s*1 in R (s-fold sum of one, negatives through neg)."""
-    char = _additive_order_of_one(R)
+    char = characteristic(R)
     out = R.zero
     for _ in range(s % char):
         out = R.add(out, R.one)
@@ -755,7 +704,8 @@ def _mapped_ring(
 
     reduce_code maps a raw parent result back into the carrier (identity
     for subsets closed under the operations, coset representative for
-    quotients).
+    quotients), and reduce_vec does the same on code arrays for the kernel,
+    which is the parent's ops() read through the carrier.
     """
     carrier = np.asarray(sorted(int(c) for c in carrier), dtype=np.int64)
     size = carrier.size
@@ -776,15 +726,15 @@ def _mapped_ring(
     def neg(i):
         return index[reduce_code(p_neg(int(carrier[i])))]
 
-    def vec_builder() -> OpTables:
-        tabs = parent.tables()
-        lookup = np.full(parent.size, -1, dtype=_DT)
-        lookup[carrier] = np.arange(size, dtype=_DT)
-        grid = np.ix_(carrier, carrier)
-        add_t = lookup[reduce_vec(tabs.add[grid])]
-        mul_t = lookup[reduce_vec(tabs.mul[grid])]
-        neg_t = lookup[reduce_vec(tabs.neg[carrier])]
-        return OpTables(add_t, mul_t, neg_t)
+    def kernel() -> ArrayOps:
+        pops = parent.ops()
+        lookup = np.full(parent.size, -1, dtype=np.int64)
+        lookup[carrier] = np.arange(size)
+
+        def lift(op):
+            return lambda *codes: lookup[reduce_vec(op(*(carrier[c] for c in codes)))]
+
+        return ArrayOps(lift(pops.add), lift(pops.mul), lift(pops.neg), lambda: None)
 
     meta = dict(meta)
     meta["parent"] = parent
@@ -801,7 +751,7 @@ def _mapped_ring(
         meta=meta,
         guard=parent.guard,
         render=lambda i: parent.render(int(carrier[i])),
-        vec_builder=vec_builder,
+        kernel=kernel,
     )
 
 

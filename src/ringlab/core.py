@@ -7,9 +7,10 @@ vectors, matrices, coset representatives, ...), which keeps membership
 tests and witness ordering deterministic.
 
 Rings are immutable after construction and safe to share across threads.
-When the squared size fits the memo budget, the operations are backed by
-numpy tables that the enumeration kernels index in bulk; the tables are
-materialized at most once and never change semantics.
+Every ring computes on arrays of codes through ops(): when the squared size
+fits the memo budget, by gathers from numpy tables that are materialized at
+most once from the ring's kernel and never change semantics, otherwise by
+that kernel itself.
 """
 
 from __future__ import annotations
@@ -53,6 +54,27 @@ class OpTables(NamedTuple):
     add: np.ndarray
     mul: np.ndarray
     neg: np.ndarray
+
+
+class ArrayOps(NamedTuple):
+    """add/mul/neg on arrays of codes (broadcasting like numpy) and unit_mask(),
+    the unit bitset over all codes from the construction, or None when the
+    construction has no such test."""
+
+    add: Callable
+    mul: Callable
+    neg: Callable
+    unit_mask: Callable[[], Optional[np.ndarray]]
+
+
+def _elementwise(R: "FiniteRing") -> ArrayOps:
+    """The kernel of a ring given by scalar functions alone: each applied entry by entry."""
+
+    def lift(f, arity):
+        ufunc = np.frompyfunc(f, arity, 1)
+        return lambda *codes: np.asarray(ufunc(*codes), dtype=np.int64)
+
+    return ArrayOps(lift(R._add, 2), lift(R._mul, 2), lift(R._neg, 1), lambda: None)
 
 
 @dataclass
@@ -101,8 +123,8 @@ class FiniteRing:
         "_mul",
         "_neg",
         "_render",
-        "_vec_builder",
-        "_digit_kernel",
+        "_kernel",
+        "_ops",
         "_tables",
         "_cache",
     )
@@ -121,8 +143,7 @@ class FiniteRing:
         meta: Optional[dict] = None,
         guard: Optional[ResourceGuard] = None,
         render: Optional[Callable[[int], str]] = None,
-        vec_builder: Optional[Callable[[], OpTables]] = None,
-        digit_kernel: Optional[Callable[[], object]] = None,
+        kernel: Optional[Callable[[], ArrayOps]] = None,
     ):
         guard = guard or DEFAULT_GUARD
         guard.check_ring_size(size)
@@ -141,8 +162,8 @@ class FiniteRing:
         self._mul = mul
         self._neg = neg
         self._render = render
-        self._vec_builder = vec_builder
-        self._digit_kernel = digit_kernel
+        self._kernel = kernel or (lambda: _elementwise(self))
+        self._ops: Optional[ArrayOps] = None
         self._tables: Optional[OpTables] = None
         self._cache = None  # StructureCache, attached lazily by invariants
 
@@ -202,21 +223,26 @@ class FiniteRing:
         return self.guard.allows_tables(self.size)
 
     def try_tables(self) -> Optional[OpTables]:
-        """The operation tables, or None when they exceed the memo budget."""
+        """The operation tables, or None when they exceed the memo budget.
+
+        They are built from the ring's kernel, a block of rows at a time.
+        """
         if self._tables is not None:
             return self._tables
         if not self.table_capable:
             return None
-        if self._vec_builder is not None:
-            tables = self._vec_builder()
-        else:
-            tables = self._loop_tables()
+        ops = self._kernel()
+        n = self.size
+        codes = np.arange(n, dtype=np.int64)
+        add_t = np.empty((n, n), dtype=_TABLE_DTYPE)
+        mul_t = np.empty((n, n), dtype=_TABLE_DTYPE)
+        chunk = max(1, (1 << 22) // n)
+        for lo in range(0, n, chunk):
+            rows = codes[lo : lo + chunk, None]
+            add_t[lo : lo + chunk] = ops.add(rows, codes)
+            mul_t[lo : lo + chunk] = ops.mul(rows, codes)
         # single idempotent publication; recomputation is deterministic
-        self._tables = OpTables(
-            np.ascontiguousarray(tables.add, dtype=_TABLE_DTYPE),
-            np.ascontiguousarray(tables.mul, dtype=_TABLE_DTYPE),
-            np.ascontiguousarray(tables.neg, dtype=_TABLE_DTYPE),
-        )
+        self._tables = OpTables(add_t, mul_t, np.asarray(ops.neg(codes), dtype=_TABLE_DTYPE))
         return self._tables
 
     def tables(self) -> OpTables:
@@ -225,23 +251,24 @@ class FiniteRing:
             raise SizeExceeded(self.size * self.size, self.guard.mul_memo_budget_bytes, "memo table")
         return t
 
-    def digit_kernel(self):
-        """Array operations computed without this ring's tables, or None.
+    def ops(self) -> ArrayOps:
+        """Arithmetic on code arrays: gathers from the tables when they fit the
+        memo budget (building them), else the kernel the construction gave.
 
-        Tuple rings whose base rings have tables provide add/mul/neg on
-        arrays of codes (broadcasting like numpy) and unit_mask(), the unit
-        bitset over all codes or None; see constructions._tuple_ring.
+        The kernel is modular arithmetic for residue rings, digit by digit
+        through the bases' ops() for tuple rings, the parent's ops() through
+        the carrier for derived rings, and the scalar functions entry by entry
+        otherwise.  unit_mask() is the kernel's on both routes.
         """
-        return None if self._digit_kernel is None else self._digit_kernel()
-
-    def _loop_tables(self) -> OpTables:
-        n = self.size
-        add = self._add
-        mul = self._mul
-        add_t = np.array([[add(i, j) for j in range(n)] for i in range(n)], dtype=_TABLE_DTYPE)
-        mul_t = np.array([[mul(i, j) for j in range(n)] for i in range(n)], dtype=_TABLE_DTYPE)
-        neg_t = np.array([self._neg(i) for i in range(n)], dtype=_TABLE_DTYPE)
-        return OpTables(add_t, mul_t, neg_t)
+        if self._ops is None:
+            t = self.try_tables()
+            kernel = self._kernel()
+            if t is not None:
+                kernel = ArrayOps(
+                    lambda x, y: t.add[x, y], lambda x, y: t.mul[x, y], lambda x: t.neg[x], kernel.unit_mask
+                )
+            self._ops = kernel
+        return self._ops
 
     def _scalar_ops(self):
         return self._add, self._mul, self._neg
@@ -348,52 +375,39 @@ def _ternary_scan(add_t: np.ndarray, mul_t: np.ndarray) -> Optional[tuple]:
 
     Scans all N^3 triples in chunks over the first operand; within a chunk
     the laws are tried in the order additive associativity, multiplicative
-    associativity, left and right distributivity.
+    associativity, left and right distributivity.  Each law runs as 2-D
+    passes: one per a over all (b, c) for the first three laws, so the first
+    violation is the first in (a, b, c) order, and one per b over all (c, a)
+    of the chunk for right distributivity, so it is the first in (b, c, a)
+    order.
     """
     n = len(add_t)
-    codes = np.arange(n, dtype=_TABLE_DTYPE)
+    add_flat = add_t.ravel()
+    laws = (
+        # (a+b)+c vs a+(b+c)
+        ("addition is not associative", lambda a: (np.take(add_t, add_t[a], axis=0), np.take(add_t[a], add_t))),
+        # (a*b)*c vs a*(b*c)
+        ("multiplication is not associative", lambda a: (np.take(mul_t, mul_t[a], axis=0), np.take(mul_t[a], mul_t))),
+        # a*(b+c) vs a*b + a*c
+        ("left distributivity fails", lambda a: (np.take(mul_t[a], add_t), np.take(add_t, mul_t[a], axis=0)[:, mul_t[a]])),
+    )
     chunk = max(1, (1 << 24) // max(1, n * n))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        a = np.arange(lo, hi)
-        # (a+b)+c vs a+(b+c)
-        left = add_t[add_t[a][:, :, None], codes[None, None, :]]
-        right = add_t[a[:, None, None], add_t[None, :, :]]
-        bad = _first_bad(left != right)
-        if bad:
-            return (
-                [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
-                "addition is not associative",
-            )
-        # (a*b)*c vs a*(b*c)
-        left = mul_t[mul_t[a][:, :, None], codes[None, None, :]]
-        right = mul_t[a[:, None, None], mul_t[None, :, :]]
-        bad = _first_bad(left != right)
-        if bad:
-            return (
-                [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
-                "multiplication is not associative",
-            )
-        # a*(b+c) vs a*b + a*c
-        left = mul_t[a[:, None, None], add_t[None, :, :]]
-        rows = mul_t[a]
-        right = add_t[rows[:, :, None], rows[:, None, :]]
-        bad = _first_bad(left != right)
-        if bad:
-            return (
-                [("a", lo + int(bad[0])), ("b", int(bad[1])), ("c", int(bad[2]))],
-                "left distributivity fails",
-            )
-        # (b+c)*a vs b*a + c*a
-        cols = mul_t[:, a]
-        left = mul_t[add_t[:, :, None], a[None, None, :]]
-        right = add_t[cols[:, None, :], cols[None, :, :]]
-        bad = _first_bad(left != right)
-        if bad:
-            return (
-                [("a", int(bad[2]) + lo), ("b", int(bad[0])), ("c", int(bad[1]))],
-                "right distributivity fails",
-            )
+        for note, sides in laws:
+            for a in range(lo, hi):
+                left, right = sides(a)
+                bad = _first_bad(left != right)
+                if bad:
+                    return [("a", a), ("b", int(bad[0])), ("c", int(bad[1]))], note
+        # (b+c)*a vs b*a + c*a, with a over the chunk's columns
+        cols = mul_t[:, lo:hi].astype(np.int64)
+        for b in range(n):
+            left = np.take(cols, add_t[b], axis=0)
+            right = add_flat[cols[b] * n + cols]
+            bad = _first_bad(left != right)
+            if bad:
+                return [("a", lo + int(bad[1])), ("b", b), ("c", int(bad[0]))], "right distributivity fails"
     return None
 
 

@@ -4,7 +4,9 @@ The cache holds the unit set with verified two-sided inverses, the
 nilpotent bitset, idempotents and n-potents, the Jacobson radical, the
 center, per-unit minimal unipotence exponents and the ring's uu-exponent.
 All results are in ascending code order, so downstream witnesses are
-deterministic.
+deterministic.  Powers, nilpotents, idempotents and n-potents are computed
+through the ring's ops(), so they exist beyond the memo budget too; the
+entries that need N^2 work or unit orders require the tables.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ def vector_pow_by(mul, base: np.ndarray, n: int, one: int) -> np.ndarray:
         b = mul(b, b)
         k >>= 1
     return result
-
-
-def vector_pow(tabs, base: np.ndarray, n: int, one: int) -> np.ndarray:
-    """Elementwise base**n by square-and-multiply through the mul table."""
-    return vector_pow_by(lambda x, y: tabs.mul[x, y], base, n, one)
 
 
 def nil_mask_by(mul, codes: np.ndarray, size: int, zero: int) -> np.ndarray:
@@ -72,7 +69,7 @@ class StructureCache:
         key = ("pow", n)
         if key not in self._d:
             codes = np.arange(self.ring.size, dtype=np.int64)
-            self._d[key] = vector_pow(self._tables(), codes, n, self.ring.one)
+            self._d[key] = vector_pow_by(self.ring.ops().mul, codes, n, self.ring.one)
         return self._d[key]
 
     # -- structural sets ----------------------------------------------------
@@ -81,10 +78,9 @@ class StructureCache:
     def nil_mask(self) -> np.ndarray:
         """Bitset of nilpotents: a^(2^ceil(log2 N)) = 0 is exact for finite rings."""
         if "nil" not in self._d:
-            tabs = self._tables()
             N = self.ring.size
             codes = np.arange(N, dtype=np.int64)
-            self._d["nil"] = nil_mask_by(lambda x, y: tabs.mul[x, y], codes, N, self.ring.zero)
+            self._d["nil"] = nil_mask_by(self.ring.ops().mul, codes, N, self.ring.zero)
         return self._d["nil"]
 
     @property
@@ -129,9 +125,8 @@ class StructureCache:
     @property
     def idempotents(self) -> np.ndarray:
         if "idem" not in self._d:
-            tabs = self._tables()
             codes = np.arange(self.ring.size, dtype=np.int64)
-            self._d["idem"] = np.flatnonzero(tabs.mul[codes, codes] == codes)
+            self._d["idem"] = np.flatnonzero(self.ring.ops().mul(codes, codes) == codes)
         return self._d["idem"]
 
     def n_potents(self, n: int) -> np.ndarray:
@@ -279,20 +274,8 @@ def center(R) -> np.ndarray:
 
 
 def is_nilpotent_code(R: FiniteRing, a: int) -> bool:
-    """Nilpotence of one element without materializing the full cache."""
-    tabs = R.try_tables()
-    if tabs is not None:
-        return bool(cache(R).nil_mask[a])
-    x = a
-    seen = set()
-    for _ in range(max(1, math.ceil(math.log2(R.size)))):
-        if x == R.zero:
-            return True
-        if x in seen:
-            return False
-        seen.add(x)
-        x = R.mul(x, x)
-    return x == R.zero
+    """Whether code a is nilpotent, read from the cached bitset."""
+    return bool(cache(R).nil_mask[a])
 
 
 def unipotence_exponent(u, code: Optional[int] = None) -> int:

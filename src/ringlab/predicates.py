@@ -17,17 +17,11 @@ import numpy as np
 from .constructions import IdealSet, IntegersOracle, decode_digits, prime_power
 from .core import Elem, FiniteRing, Verdict, characteristic
 from .errors import AxiomViolation, NotAPrimePower, WrongRingKind
-from .invariants import (
-    BLOCK_ENTRIES,
-    cache,
-    is_nilpotent_code,
-    multiplicative_order,
-    nil_mask_by,
-    vector_pow,
-    vector_pow_by,
-)
+from .invariants import BLOCK_ENTRIES, cache, multiplicative_order, vector_pow_by
 
 MAX_POW_EXPONENT = 1 << 62
+# the note of is_n_uu verdicts decided without the ring's tables
+_NO_TABLES = "found by unit powers without tables"
 
 
 def _verdict(holds, start, **kw) -> Verdict:
@@ -57,73 +51,31 @@ def _least_failure(bad: Optional[int], start: float) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# unit scans for rings beyond the memo budget
-# ---------------------------------------------------------------------------
-
-
-def _unit_inverse_scan(R: FiniteRing, u: int) -> Optional[int]:
-    """Inverse of u, or None; bails out at the first repeated product.
-
-    Left multiplication by a non-unit repeats a value (pigeonhole on its
-    image), so non-units exit early; for a unit the right inverse found is
-    two-sided in a finite ring, which is still verified explicitly.
-    """
-    seen = bytearray(R.size)
-    mul = R.mul
-    one = R.one
-    for x in range(R.size):
-        p = mul(u, x)
-        if p == one:
-            return x if mul(x, u) == one else None
-        if seen[p]:
-            return None
-        seen[p] = 1
-    return None
-
-
-def _first_non_nilpotent(R: FiniteRing, kernel, values: np.ndarray) -> Optional[int]:
-    """Index of the first value that is not nilpotent, squaring through the kernel."""
-    bad = np.flatnonzero(~nil_mask_by(kernel.mul, values, R.size, R.zero))
-    return int(bad[0]) if bad.size else None
-
-
-def _n_uu_by_kernel(R: FiniteRing, n: int, start: float) -> Optional[Verdict]:
-    """u**n - 1 for every unit at once through the ring's digit kernel.
-
-    None when the ring has no kernel or no unit mask.  The witness is the
-    least unit whose defect is not nilpotent, which is the one the ascending
-    scan finds; it is re-verified with an explicit two-sided inverse.
-    """
-    kernel = R.digit_kernel()
-    mask = None if kernel is None else kernel.unit_mask()
-    if mask is None:
-        return None
-    units = np.flatnonzero(mask)
-    defect = kernel.add(vector_pow_by(kernel.mul, units, n, R.one), R.neg(R.one))
-    bad = _first_non_nilpotent(R, kernel, defect)
-    if bad is None:
-        return _verdict(True, start, note="found by digit kernel")
-    u = int(units[bad])
-    inverse = np.flatnonzero(kernel.mul(u, np.arange(R.size, dtype=np.int64)) == R.one)
-    if inverse.size == 0 or int(kernel.mul(int(inverse[0]), u)) != R.one:
-        raise AxiomViolation(f"unit mask of {R.label} admits code {u}, which has no two-sided inverse")
-    return _verdict(False, start, witness=[("u", u)], note="found by digit kernel")
-
-
-def _n_uu_by_scan(R: FiniteRing, n: int, start: float) -> Verdict:
-    """Ascending witness scan: cheap nilpotence filter first, unit check after."""
-    for a in range(R.size):
-        q = R.sub(R.pow_code(a, n), R.one)
-        if is_nilpotent_code(R, q):
-            continue
-        if _unit_inverse_scan(R, a) is not None:
-            return _verdict(False, start, witness=[("u", a)], note="found by element scan")
-    return _verdict(True, start, note="found by element scan")
-
-
-# ---------------------------------------------------------------------------
 # the unit-power predicates
 # ---------------------------------------------------------------------------
+
+
+def _n_uu_without_tables(R: FiniteRing, n: int, start: float) -> Verdict:
+    """u**n - 1 for every unit at once through R.ops(), for rings without tables.
+
+    The units are the construction's unit mask.  Without one, each code
+    whose defect a**n - 1 is not nilpotent is a candidate, in ascending
+    order, and the first with a two-sided inverse (read off one row a*x) is
+    the witness.  Either way the witness is the least failing unit, and it
+    is re-verified with an explicit two-sided inverse.
+    """
+    ops = R.ops()
+    codes = np.arange(R.size, dtype=np.int64)
+    mask = ops.unit_mask()
+    candidates = codes if mask is None else np.flatnonzero(mask)
+    defect = ops.add(vector_pow_by(ops.mul, candidates, n, R.one), R.neg(R.one))
+    for a in candidates[~cache(R).nil_mask[defect]].tolist():
+        inverse = np.flatnonzero(ops.mul(a, codes) == R.one)
+        if inverse.size and int(ops.mul(int(inverse[0]), a)) == R.one:
+            return _verdict(False, start, witness=[("u", a)], note=_NO_TABLES)
+        if mask is not None:
+            raise AxiomViolation(f"unit mask of {R.label} admits code {a}, which has no two-sided inverse")
+    return _verdict(True, start, note=_NO_TABLES)
 
 
 def is_n_uu(R, n: int) -> Verdict:
@@ -134,11 +86,10 @@ def is_n_uu(R, n: int) -> Verdict:
     nilpotent), so R is n-UU exactly when uu_exponent(R) divides n, and the
     witness is the least unit u with d_u not dividing n.
 
-    Rings beyond the memo budget are decided without their tables: by the
-    digit kernel when the ring has one and a unit mask (matrix rings over a
-    commutative base with tables, products of rings with tables), otherwise
-    by an element scan.  The note names the route ("digit kernel" or
-    "element scan"); both return the least failing unit as witness.
+    Rings beyond the memo budget are decided without their tables, by
+    raising every unit to the n-th power through R.ops()
+    (_n_uu_without_tables); the note says so, and the witness is again the
+    least failing unit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -148,8 +99,7 @@ def is_n_uu(R, n: int) -> Verdict:
             return _verdict(True, start, exponents={"uu_exponent": 2})
         return _verdict(False, start, witness=[("u", -1)], exponents={"uu_exponent": 2})
     if R.try_tables() is None:
-        verdict = _n_uu_by_kernel(R, n, start)
-        return verdict if verdict is not None else _n_uu_by_scan(R, n, start)
+        return _n_uu_without_tables(R, n, start)
     c = cache(R)
     d = c.uu_exponent
     if n % d == 0:
@@ -201,37 +151,19 @@ def is_periodic_element(a: Elem) -> Verdict:
 
 
 def is_strongly_n_nil_clean(R, n: int) -> Verdict:
-    """Whether a - a**n is nilpotent for every element a.
-
-    Rings beyond the memo budget are decided through their digit kernel
-    when they have one, otherwise element by element; the witness is the
-    least failing a on every route.
-    """
+    """Whether a - a**n is nilpotent for every element a, through R.ops(),
+    so rings beyond the memo budget are decided too; the witness is the
+    least failing a."""
     if n < 2:
         raise ValueError("strongly n-nil-clean needs n >= 2")
     start = time.perf_counter()
     if isinstance(R, IntegersOracle):
         R.reject("is_strongly_n_nil_clean")
-    tabs = R.try_tables()
-    kernel = R.digit_kernel() if tabs is None else None
-    if kernel is not None:
-        codes = np.arange(R.size, dtype=np.int64)
-        defect = kernel.add(codes, kernel.neg(vector_pow_by(kernel.mul, codes, n, R.one)))
-        bad = _first_non_nilpotent(R, kernel, defect)
-        return _least_failure(bad, start)
-    if tabs is None:
-        for a in range(R.size):
-            d = R.sub(a, R.pow_code(a, n))
-            if not is_nilpotent_code(R, d):
-                return _verdict(False, start, witness=[("a", a)])
-        return _verdict(True, start)
     c = cache(R)
+    ops = R.ops()
     codes = np.arange(R.size, dtype=np.int64)
-    defect = tabs.add[codes, tabs.neg[c.pow_all(n)]]
-    bad = ~c.nil_mask[defect]
-    if bad.any():
-        return _verdict(False, start, witness=[("a", int(np.flatnonzero(bad)[0]))])
-    return _verdict(True, start)
+    bad = np.flatnonzero(~c.nil_mask[ops.add(codes, ops.neg(c.pow_all(n)))])
+    return _least_failure(int(bad[0]) if bad.size else None, start)
 
 
 def strongly_n_nil_clean_decompose(a: Elem, n: int) -> Verdict:
@@ -379,7 +311,7 @@ def _unit_n_potents(R: FiniteRing, n: int) -> np.ndarray:
     c = cache(R)
     key = ("unit_npot", n)
     if key not in c._d:
-        powers = vector_pow(R.tables(), c.units, n - 1, R.one)
+        powers = vector_pow_by(R.ops().mul, c.units, n - 1, R.one)
         c._d[key] = c.units[powers == R.one]
     return c._d[key]
 

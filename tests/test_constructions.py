@@ -8,6 +8,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import (
+    dsl,
     ideal_closure,
     integers_oracle,
     make_corner,
@@ -26,6 +27,7 @@ from ringlab import (
 )
 from ringlab.constructions import decode_digits, prime_power, scalar_code, smallest_irreducible
 from ringlab.errors import (
+    AxiomViolation,
     NotAnIdeal,
     NotAPrimePower,
     NotIdempotent,
@@ -156,6 +158,12 @@ def test_gf_multiplication_against_polynomial_oracle():
             assert got == expected
 
 
+def _kernel_guard(size):
+    """A guard whose memo budget a ring of this size misses by one byte, so its
+    ops() is the construction's kernel while every smaller ring keeps tables."""
+    return rl.ResourceGuard(mul_memo_budget_bytes=8 * size * size - 1)
+
+
 def test_gf_tables_match_the_digit_kernel():
     # the mul table comes from discrete logarithms, add and neg from digits;
     # all three must equal the digit kernel's, entry for entry
@@ -164,13 +172,49 @@ def test_gf_tables_match_the_digit_kernel():
         if pe is None or pe[1] == 1:
             continue
         gf = make_gf(q)
-        kernel = gf.digit_kernel()
+        kernel = make_gf(q, _kernel_guard(q)).ops()
         codes = np.arange(q, dtype=np.int64)
         rows, cols = codes[:, None], codes[None, :]
         tabs = gf.tables()
         assert np.array_equal(tabs.add, kernel.add(rows, cols)), q
         assert np.array_equal(tabs.mul, kernel.mul(rows, cols)), q
         assert np.array_equal(tabs.neg, kernel.neg(codes)), q
+
+
+def _scalar_z6(guard):
+    return rl.FiniteRing(6, lambda i, j: (i + j) % 6, lambda i, j: i * j % 6, lambda i: -i % 6, one=1, guard=guard)
+
+
+OPS_RINGS = {
+    expr: (lambda guard, expr=expr: dsl.elaborate(dsl.parse_ring_expr(expr), guard))
+    for expr in (
+        "Z(12)", "GF(9)", "M(2,Z(3))", "T(2,Z(4))", "Ks(Z(3),2)", "TrivExt(Z(4))", "Poly(Z(3),3)",
+        "Prod(Z(4),Z(3))", "FT(Z(2),Z(2))", "GR(Z(3),C(2))", "Corner(T(2,Z(4)),#1)", "Quot(M(2,Z(4)),#2)",
+    )
+}
+# the subring Z(4)[N] of M(2,Z(4)), N = [[0,1],[0,0]]: generated by [[1,1],[0,1]] (code 1 + 4 + 64)
+OPS_RINGS["Sub"] = lambda guard: subring_closure(make_matrix(make_zmod(4, guard), 2, guard), [69])
+OPS_RINGS["scalar functions"] = _scalar_z6
+
+
+@pytest.mark.parametrize("name", OPS_RINGS)
+def test_ops_kernel_matches_the_tables(name):
+    # a ring's kernel (its ops() without tables) against its tables on every
+    # cell, and both against the scalar operations
+    build = OPS_RINGS[name]
+    R = build(rl.ResourceGuard())
+    K = build(_kernel_guard(R.size))
+    assert R.table_capable and not K.table_capable and K.size == R.size
+    tabs = R.tables()
+    ops = K.ops()
+    codes = np.arange(R.size)
+    assert np.array_equal(ops.add(codes[:, None], codes), tabs.add), name
+    assert np.array_equal(ops.mul(codes[:, None], codes), tabs.mul), name
+    assert np.array_equal(ops.neg(codes), tabs.neg), name
+    scalar = [[[K.add(i, j), K.mul(i, j)] for j in range(K.size)] for i in range(K.size)]
+    assert scalar == np.stack([tabs.add, tabs.mul], axis=-1).tolist(), name
+    assert [K.neg(i) for i in range(K.size)] == tabs.neg.tolist(), name
+    assert K.try_tables() is None
 
 
 # -- matrix-shaped rings ---------------------------------------------------------
@@ -474,6 +518,13 @@ def test_scalar_code():
     assert scalar_code(z6, 2) == 2
     assert scalar_code(z6, 8) == 2
     assert scalar_code(z6, 0) == 0
+
+
+def test_scalar_code_rejects_a_one_without_additive_order():
+    # with add = max, 1 + 1 = 1 never returns to 0
+    R = rl.FiniteRing(3, max, lambda i, j: i * j % 3, lambda i: i, one=1)
+    with pytest.raises(AxiomViolation, match="no finite additive order"):
+        scalar_code(R, 2)
 
 
 def test_every_builder_passes_axioms():

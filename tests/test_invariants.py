@@ -217,6 +217,22 @@ def test_matrix_uu_exponent_up_to_the_4096_boundary():
         assert uu_exponent(ring) == lcm_criterion(q, m) == expected
 
 
+def test_nilpotents_and_idempotents_above_the_memo_budget():
+    # M_3(GF(3)) without tables: q^(k^2 - k) nilpotent matrices (Fine-Herstein),
+    # and one idempotent per splitting GF(3)^3 = image + kernel, that is
+    # sum over r of |GL_3| / (|GL_r| |GL_(3-r)|)
+    q, k = 3, 3
+    R = make_matrix(make_zmod(q), k)
+    assert not R.table_capable
+
+    def gl(m):
+        return math.prod(q**m - q**i for i in range(m))
+
+    assert len(nilpotent_codes(R)) == q ** (k * k - k) == 729
+    assert len(idempotents(R)) == sum(gl(k) // (gl(r) * gl(k - r)) for r in range(k + 1)) == 236
+    assert R.try_tables() is None
+
+
 def test_center_of_commutative_rings(z12):
     assert center(z12).all()
 

@@ -29,7 +29,7 @@ from ringlab.invariants import (
     nilpotent_codes,
     unit_codes,
     uu_exponent,
-    vector_pow,
+    vector_pow_by,
 )
 from ringlab.predicates import (
     _eu_pairs,
@@ -84,7 +84,7 @@ def _n_uu_by_unit_powers(R, n):
     """(holds, witness) from u**n - 1 over every unit, without unit exponents."""
     c = cache(R)
     tabs = R.tables()
-    powers = vector_pow(tabs, c.units, n, R.one)
+    powers = vector_pow_by(R.ops().mul, c.units, n, R.one)
     bad = np.flatnonzero(~c.nil_mask[tabs.add[powers, tabs.neg[R.one]]])
     if bad.size == 0:
         return True, None
@@ -125,12 +125,14 @@ def test_is_n_uu_exponent_route_matches_unit_powers():
 
 
 def _route_guards(size):
-    """Guards that send a ring of this size to the table, digit-kernel and element-scan routes."""
+    """Guards that send a ring of this size to the table route and to two ops() kernels."""
     return {
         "table": rl.ResourceGuard(),
-        # the ring's own two int32 tables miss the budget by one byte; every smaller base fits
+        # the ring's own two int32 tables miss the budget by one byte; every smaller
+        # base fits, so the kernel works through base tables and has their unit masks
         "kernel": rl.ResourceGuard(mul_memo_budget_bytes=8 * size * size - 1),
-        # not even Z(2)'s tables (32 bytes) fit, so every operation is scalar
+        # not even Z(2)'s tables (32 bytes) fit: the kernel works through the modular
+        # kernels of the Z(n) bases, and no construction has a unit mask
         "scan": rl.ResourceGuard(mul_memo_budget_bytes=16),
     }
 
@@ -140,7 +142,50 @@ def _routes(expr):
     return {route: dsl.elaborate(dsl.parse_ring_expr(expr), g) for route, g in _route_guards(size).items()}
 
 
-ROUTE_NOTES = {"table": None, "kernel": "found by digit kernel", "scan": "found by element scan"}
+def _is_nilpotent_by_squaring(R, a):
+    """Scalar reference: a^(2^ceil(log2 N)) = 0 is exact in a ring of size N."""
+    for _ in range(max(1, math.ceil(math.log2(R.size)))):
+        a = R.mul(a, a)
+    return a == R.zero
+
+
+def _unit_inverse_scan(R, u):
+    """Inverse of u, or None; bails out at the first repeated product.
+
+    Left multiplication by a non-unit repeats a value (pigeonhole on its
+    image), so non-units exit early; a right inverse must also be a left one.
+    """
+    seen = bytearray(R.size)
+    for x in range(R.size):
+        p = R.mul(u, x)
+        if p == R.one:
+            return x if R.mul(x, u) == R.one else None
+        if seen[p]:
+            return None
+        seen[p] = 1
+    return None
+
+
+def _n_uu_by_scan(R, n):
+    """(holds, witness) of is_n_uu by an ascending scan in scalar arithmetic."""
+    for a in range(R.size):
+        if _is_nilpotent_by_squaring(R, R.sub(R.pow_code(a, n), R.one)):
+            continue
+        if _unit_inverse_scan(R, a) is not None:
+            return False, [("u", a)]
+    return True, None
+
+
+def _strongly_n_nil_clean_by_scan(R, n):
+    """(holds, witness) of is_strongly_n_nil_clean by an ascending scan in scalar arithmetic."""
+    for a in range(R.size):
+        if not _is_nilpotent_by_squaring(R, R.sub(a, R.pow_code(a, n))):
+            return False, [("a", a)]
+    return True, None
+
+
+NO_TABLES = "found by unit powers without tables"
+ROUTE_NOTES = {"table": None, "kernel": NO_TABLES, "scan": NO_TABLES}
 UNIT_MASK_RINGS = [
     "M(2,Z(2))", "M(2,Z(3))", "M(2,Z(4))", "M(2,GF(4))", "M(3,Z(2))", "Prod(Z(2),Z(3))", "Prod(Z(4),Z(9))",
 ]
@@ -148,53 +193,74 @@ UNIT_MASK_RINGS = [
 
 @pytest.mark.parametrize("expr", UNIT_MASK_RINGS)
 def test_is_n_uu_routes_agree(expr):
+    # with tables, from unit exponents; without, unit powers over the unit
+    # mask ("kernel") or over ascending candidates ("scan"); all against the
+    # scalar element scan
     rings = _routes(expr)
     assert rings["table"].table_capable and not rings["kernel"].table_capable
+    assert rings["kernel"].ops().unit_mask() is not None and rings["scan"].ops().unit_mask() is None
     for n in range(1, 25):
         verdicts = {route: is_n_uu(R, n) for route, R in rings.items()}
         assert {route: v.note for route, v in verdicts.items()} == ROUTE_NOTES
-        assert len({(v.holds, str(v.witness)) for v in verdicts.values()}) == 1, (expr, n, verdicts)
+        expected = _n_uu_by_scan(rings["table"], n)
+        assert all((v.holds, v.witness) == expected for v in verdicts.values()), (expr, n, verdicts)
 
 
 @pytest.mark.parametrize("expr", UNIT_MASK_RINGS + ["T(2,Z(4))", "GF(8)"])
 def test_is_strongly_n_nil_clean_routes_agree(expr):
     rings = _routes(expr)
-    assert rings["kernel"].digit_kernel() is not None and rings["scan"].digit_kernel() is None
+    assert [R.try_tables() is not None for R in rings.values()] == [True, False, False]
     for n in range(2, 9):
-        verdicts = [is_strongly_n_nil_clean(R, n) for R in rings.values()]
-        assert len({(v.holds, str(v.witness)) for v in verdicts}) == 1, (expr, n, verdicts)
+        expected = _strongly_n_nil_clean_by_scan(rings["table"], n)
+        for R in rings.values():
+            verdict = is_strongly_n_nil_clean(R, n)
+            assert (verdict.holds, verdict.witness) == expected, (expr, n, verdict)
 
 
 def test_digit_unit_mask_matches_the_table_units():
-    rings = [R for R in build_corpus() if not isinstance(R, str) and R.kind in ("matrix", "product")]
+    rings = [R for R in build_corpus() if not isinstance(R, str) and R.kind in ("matrix", "product", "zmod")]
     rings += [make_matrix(make_gf(q), m) for q, m in MATRIX_LCM_PAIRS]
-    assert len(rings) >= 15
+    rings += [make_gf(p) for p in (2, 3, 5, 7, 11)]
+    assert len(rings) >= 30
     for R in rings:
         assert R.table_capable
-        mask = R.digit_kernel().unit_mask()
+        mask = R.ops().unit_mask()
         assert mask is not None and np.array_equal(mask, cache(R).unit_mask), R.label
-    # determinants need a commutative base, and other constructions have no digit unit test
-    for expr in ("M(2,T(2,Z(2)))", "T(2,Z(4))", "GF(8)", "TrivExt(Z(4))"):
-        assert dsl.elaborate(dsl.parse_ring_expr(expr)).digit_kernel().unit_mask() is None, expr
+    # determinants need a commutative base, and other constructions have no digit
+    # unit test; the kernel guard keeps ops() from building 4096-element tables
+    for expr in ("M(2,T(2,Z(2)))", "T(2,Z(4))", "GF(8)", "TrivExt(Z(4))", "Corner(M(2,Z(2)),#1)"):
+        assert _routes(expr)["kernel"].ops().unit_mask() is None, expr
 
 
 def test_digit_kernel_witness_needs_a_two_sided_inverse():
     R = _routes("M(2,Z(3))")["kernel"]
-    kernel = R.digit_kernel()
     # a unit mask that admits zero: its defect -1 is not nilpotent, and it has no inverse
-    R._digit_kernel = lambda: kernel._replace(unit_mask=lambda: np.ones(R.size, dtype=bool))
+    R._ops = R.ops()._replace(unit_mask=lambda: np.ones(R.size, dtype=bool))
     with pytest.raises(AxiomViolation, match="no two-sided inverse"):
         is_n_uu(R, 1)
+
+
+def test_candidate_units_need_a_two_sided_inverse():
+    # Z(5) with 3*2 patched to 4: 2 keeps the right inverse 3 but loses its left
+    # one, and 3 loses both, so the least unit whose defect u - 1 is not
+    # nilpotent is 4; the scalar functions alone give this ring's ops()
+    guard = rl.ResourceGuard(mul_memo_budget_bytes=16)
+    base = make_zmod(5, guard)
+    R = rl.FiniteRing(5, base._add, lambda i, j: 4 if (i, j) == (3, 2) else base._mul(i, j), base._neg,
+                      one=1, guard=guard)
+    assert R.ops().unit_mask() is None
+    verdict = is_n_uu(R, 1)
+    assert (verdict.holds, verdict.witness, verdict.note) == (False, [("u", 4)], NO_TABLES)
 
 
 @pytest.mark.parametrize("expr", ["T(2,Z(2))", "T(2,Z(4))"])
 def test_is_n_uu_without_a_unit_mask_scans(expr):
     rings = _routes(expr)
-    assert rings["kernel"].digit_kernel() is not None
+    assert rings["kernel"].ops().unit_mask() is None
     for n in range(1, 25):
         table = is_n_uu(rings["table"], n)
         scan = is_n_uu(rings["kernel"], n)
-        assert scan.note == "found by element scan"
+        assert scan.note == NO_TABLES
         assert (scan.holds, scan.witness) == (table.holds, table.witness), (expr, n)
 
 
@@ -209,11 +275,24 @@ def test_is_n_uu_above_the_memo_budget():
         6: [("u", 820)], 24: [("u", 849)], 104: None,
     }
     assert verdicts[104].holds and lcm_criterion(3, 3) == 104
-    assert {v.note for v in verdicts.values()} == {"found by digit kernel"}
+    assert {v.note for v in verdicts.values()} == {NO_TABLES}
     m2z16 = make_matrix(make_zmod(16), 2)
     assert m2z16.size == DEFAULT_MAX_RING_SIZE
     assert [n for n in range(1, 25) if is_n_uu(m2z16, n).holds] == list(range(3, 25, 3))
     assert lcm_criterion(2, 2) == 3
+
+
+def test_is_n_uu_on_a_prime_field_above_the_memo_budget():
+    # Z(65521)* is cyclic of order 65520: every unit's 65520-th power is 1, and
+    # u**32760 = 1 exactly for the quadratic residues (Euler's criterion), so
+    # the witness at n = 32760 is the least non-residue
+    p = 65521
+    z = make_zmod(p)
+    assert not z.table_capable
+    assert is_n_uu(z, p - 1).holds
+    least_non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    verdict = is_n_uu(z, (p - 1) // 2)
+    assert (verdict.holds, verdict.witness, verdict.note) == (False, [("u", least_non_residue)], NO_TABLES)
 
 
 def test_is_n_uu_witness_recheck(m2z3):
