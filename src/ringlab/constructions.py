@@ -6,7 +6,10 @@ coefficients, ...).  The shared machinery below writes each multiplication
 formula once against the base rings' operations: their scalar methods give
 the scalar operations, their ops() give the ring's kernel on code arrays,
 from which FiniteRing builds the tables.  Derived carriers (corners,
-quotients, subrings) re-index a parent ring's operations instead.
+quotients, subrings) re-index a parent ring's operations instead.  Ideals,
+closures, quotients and corners are computed on the parent's ops() alone,
+so at any size: each pass over a grid of products runs in row blocks of
+BLOCK_ENTRIES entries, each reduced at once into a bitset or row minima.
 
 Element coding is the documented mixed-radix convention: digit i carries
 weight prod(sizes[:i]), so digit 0 varies fastest and the zero element is
@@ -22,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_GUARD, ArrayOps, FiniteRing, Elem, OpTables, ResourceGuard, characteristic
+from .core import BLOCK_ENTRIES, DEFAULT_GUARD, ArrayOps, FiniteRing, Elem, OpTables, ResourceGuard, characteristic
 from .errors import (
     NotAPrimePower,
     NotAnIdeal,
@@ -755,6 +758,34 @@ def _mapped_ring(
     )
 
 
+def _codes(R: FiniteRing, elems: Sequence[int | Elem]) -> list[int]:
+    """The codes of elements of R, each checked to lie in 0..N-1."""
+    codes = [e.code if isinstance(e, Elem) else int(e) for e in elems]
+    for c in codes:
+        if not 0 <= c < R.size:
+            raise RangeCheckError(f"element #{c} outside {R.label} of size {R.size}")
+    return codes
+
+
+def _row_blocks(rows: np.ndarray, cols: np.ndarray):
+    """rows as column vectors of at most BLOCK_ENTRIES // |cols| codes, so that
+    op(block, cols) is one block of the rows x cols grid of results."""
+    step = max(1, BLOCK_ENTRIES // max(1, cols.size))
+    for lo in range(0, rows.size, step):
+        yield rows[lo : lo + step, None]
+
+
+def _closed(mask: np.ndarray, op: Callable, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether op(r, c) lies in mask for every r in rows and c in cols."""
+    return all(mask[op(block, cols)].all() for block in _row_blocks(rows, cols))
+
+
+def _mark(reach: np.ndarray, op: Callable, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set reach at op(r, c) for every r in rows and c in cols."""
+    for block in _row_blocks(rows, cols):
+        reach[op(block, cols)] = True
+
+
 @dataclass
 class IdealSet:
     """A two-sided ideal of a ring, stored as a membership bitset."""
@@ -773,83 +804,73 @@ class IdealSet:
         return bool(self.mask[code])
 
     def verify_ideal(self) -> tuple[bool, Optional[str]]:
-        """Closure under add, neg, and two-sided multiplication by the ring."""
+        """Closure under add, neg, and left and right multiplication by the
+        ring; the reason names the first of these that fails."""
         R = self.ring
-        mem = self.members()
         if not self.mask[R.zero]:
             return False, "zero missing"
-        tabs = R.try_tables()
-        if tabs is not None:
-            grid = np.ix_(mem, mem)
-            if not self.mask[tabs.add[grid]].all():
-                return False, "not closed under addition"
-            if not self.mask[tabs.neg[mem]].all():
-                return False, "not closed under negation"
-            if not self.mask[tabs.mul[:, mem]].all():
-                return False, "not a left ideal"
-            if not self.mask[tabs.mul[mem, :]].all():
-                return False, "not a right ideal"
-            return True, None
-        for a in mem.tolist():
-            for b in mem.tolist():
-                if not self.mask[R.add(a, b)]:
-                    return False, "not closed under addition"
-            if not self.mask[R.neg(a)]:
-                return False, "not closed under negation"
-            for r in range(R.size):
-                if not self.mask[R.mul(r, a)] or not self.mask[R.mul(a, r)]:
-                    return False, "not a two-sided ideal"
+        ops = R.ops()
+        mem = self.members()
+        codes = np.arange(R.size, dtype=np.int64)
+        if not _closed(self.mask, ops.add, mem, mem):
+            return False, "not closed under addition"
+        if not self.mask[ops.neg(mem)].all():
+            return False, "not closed under negation"
+        if not _closed(self.mask, ops.mul, codes, mem):
+            return False, "not a left ideal"
+        if not _closed(self.mask, ops.mul, mem, codes):
+            return False, "not a right ideal"
         return True, None
 
     def is_nil(self) -> bool:
-        """Whether some power of the set multiplies to {0} (nilpotent ideal)."""
+        """Whether some power of the set multiplies to {0} (nilpotent ideal).
+
+        Each set of k-fold products is a function of the one before, so a
+        set that repeats its predecessor without being {0} never becomes it.
+        """
         R = self.ring
+        mul = R.ops().mul
         mem = self.members()
-        tabs = R.try_tables()
         current = mem
         for _ in range(R.size + 1):
             if current.size == 1 and int(current[0]) == R.zero:
                 return True
-            if tabs is not None:
-                current = np.unique(tabs.mul[np.ix_(current, mem)])
-            else:
-                current = np.unique(
-                    [R.mul(int(x), int(y)) for x in current for y in mem]
-                )
+            reach = np.zeros(R.size, dtype=bool)
+            _mark(reach, mul, current, mem)
+            products = np.flatnonzero(reach)
+            if np.array_equal(products, current):
+                return False
+            current = products
         return False
 
 
-def ideal_closure(R: FiniteRing, gens: Sequence[int | Elem]) -> IdealSet:
-    """Smallest two-sided ideal containing the generators (worklist closure)."""
-    codes = [g.code if isinstance(g, Elem) else int(g) for g in gens]
+def _closure(R: FiniteRing, seed: Sequence[int], factors: Optional[np.ndarray]) -> np.ndarray:
+    """Bitset of the least superset of seed closed under +, negation and
+    products on either side with factors (None: the members themselves).
+
+    Each round applies the operations only to pairs with a member found in
+    the round before.
+    """
+    ops = R.ops()
     mask = np.zeros(R.size, dtype=bool)
-    mask[R.zero] = True
-    mask[codes] = True
-    tabs = R.try_tables()
-    while True:
+    mask[seed] = True
+    fresh = np.flatnonzero(mask)
+    while fresh.size:
         mem = np.flatnonzero(mask)
-        if tabs is not None:
-            reach = [
-                tabs.add[np.ix_(mem, mem)].ravel(),
-                tabs.neg[mem],
-                tabs.mul[:, mem].ravel(),
-                tabs.mul[mem, :].ravel(),
-            ]
-            new = np.unique(np.concatenate(reach))
-        else:
-            acc = set(mem.tolist())
-            for a in mem.tolist():
-                acc.add(R.neg(a))
-                for b in mem.tolist():
-                    acc.add(R.add(a, b))
-                for r in range(R.size):
-                    acc.add(R.mul(r, a))
-                    acc.add(R.mul(a, r))
-            new = np.array(sorted(acc))
-        grown = ~mask[new]
-        if not grown.any():
-            return IdealSet(R, mask, codes)
-        mask[new] = True
+        reach = np.zeros(R.size, dtype=bool)
+        reach[ops.neg(fresh)] = True
+        for op, cols in ((ops.add, mem), (ops.mul, mem if factors is None else factors)):
+            _mark(reach, op, fresh, cols)
+            _mark(reach, op, cols, fresh)
+        fresh = np.flatnonzero(reach & ~mask)
+        mask |= reach
+    return mask
+
+
+def ideal_closure(R: FiniteRing, gens: Sequence[int | Elem]) -> IdealSet:
+    """Smallest two-sided ideal containing the generators."""
+    codes = _codes(R, gens)
+    return IdealSet(R, _closure(R, [R.zero, *codes], np.arange(R.size, dtype=np.int64)), codes)
 
 
 def make_quotient(R: FiniteRing, I: IdealSet) -> FiniteRing:
@@ -858,13 +879,10 @@ def make_quotient(R: FiniteRing, I: IdealSet) -> FiniteRing:
     if not ok:
         raise NotAnIdeal(f"{why} in {R.label}")
     mem = I.members()
-    tabs = R.try_tables()
-    if tabs is not None:
-        rep_map = tabs.add[:, mem].min(axis=1).astype(np.int64)
-    else:
-        rep_map = np.array(
-            [min(R.add(a, int(i)) for i in mem) for a in range(R.size)], dtype=np.int64
-        )
+    add = R.ops().add
+    codes = np.arange(R.size, dtype=np.int64)
+    rep_map = np.concatenate([add(block, mem).min(axis=1) for block in _row_blocks(codes, mem)])
+    rep_map = rep_map.astype(np.int64)
     reps = np.unique(rep_map)
     if I.generators:
         label = f"Quot({R.label}," + ",".join(f"#{g}" for g in I.generators) + ")"
@@ -876,7 +894,7 @@ def make_quotient(R: FiniteRing, I: IdealSet) -> FiniteRing:
         int(rep_map[R.one]),
         label=label,
         kind="quotient",
-        meta={"ideal": I},
+        meta={"ideal": I, "rep_map": rep_map},
         reduce_code=lambda x: int(rep_map[x]),
         reduce_vec=lambda arr: rep_map[arr],
     )
@@ -884,16 +902,13 @@ def make_quotient(R: FiniteRing, I: IdealSet) -> FiniteRing:
 
 def make_corner(R: FiniteRing, e: int | Elem) -> FiniteRing:
     """The corner ring eRe for an idempotent e, with identity e."""
-    code = e.code if isinstance(e, Elem) else int(e)
+    (code,) = _codes(R, [e])
     if R.mul(code, code) != code:
         raise NotIdempotent(f"code {code} is not idempotent in {R.label}")
     if code == R.zero:
         raise NotIdempotent("the corner at zero is not a unital ring")
-    tabs = R.try_tables()
-    if tabs is not None:
-        carrier = np.unique(tabs.mul[tabs.mul[code, :], code])
-    else:
-        carrier = np.unique([R.mul(R.mul(code, r), code) for r in range(R.size)])
+    mul = R.ops().mul
+    carrier = np.unique(mul(mul(code, np.arange(R.size, dtype=np.int64)), code))
     return _mapped_ring(
         R,
         carrier,
@@ -906,36 +921,10 @@ def make_corner(R: FiniteRing, e: int | Elem) -> FiniteRing:
 
 def subring_closure(R: FiniteRing, gens: Sequence[int | Elem]) -> FiniteRing:
     """Smallest unital subring containing the generators, densely re-indexed."""
-    codes = [g.code if isinstance(g, Elem) else int(g) for g in gens]
-    mask = np.zeros(R.size, dtype=bool)
-    mask[[R.zero, R.one]] = True
-    mask[codes] = True
-    tabs = R.try_tables()
-    while True:
-        mem = np.flatnonzero(mask)
-        if tabs is not None:
-            grid = np.ix_(mem, mem)
-            new = np.unique(
-                np.concatenate(
-                    [tabs.add[grid].ravel(), tabs.mul[grid].ravel(), tabs.neg[mem]]
-                )
-            )
-        else:
-            acc = set(mem.tolist())
-            for a in mem.tolist():
-                acc.add(R.neg(a))
-                for b in mem.tolist():
-                    acc.add(R.add(a, b))
-                    acc.add(R.mul(a, b))
-            new = np.array(sorted(acc))
-        grown = ~mask[new]
-        if not grown.any():
-            break
-        mask[new] = True
-    carrier = np.flatnonzero(mask)
+    codes = _codes(R, gens)
     return _mapped_ring(
         R,
-        carrier,
+        np.flatnonzero(_closure(R, [R.zero, R.one, *codes], None)),
         R.one,
         label=f"Sub({R.label},{len(codes)} gens)",
         kind="subring",

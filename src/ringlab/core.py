@@ -27,6 +27,8 @@ DEFAULT_MAX_RING_SIZE = 65536
 DEFAULT_MEMO_BUDGET_BYTES = 1 << 28
 AXIOM_EXHAUSTIVE_LIMIT = 4096
 AXIOM_SAMPLE_TRIPLES = 1_000_000
+# entries of one row block in the passes that cover all codes at once
+BLOCK_ENTRIES = 1 << 20
 
 _TABLE_DTYPE = np.int32
 
@@ -269,9 +271,6 @@ class FiniteRing:
                 )
             self._ops = kernel
         return self._ops
-
-    def _scalar_ops(self):
-        return self._add, self._mul, self._neg
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label}, size={self.size})"
@@ -554,7 +553,7 @@ def verify_ring_axioms(R: FiniteRing, seed: int = 0, sample_triples: int = AXIOM
 
     # sampled mode: unary/identity laws in full, ternary laws on a seeded sample;
     # results are range-checked before they are used as operands or compared
-    add, mul, neg = R._scalar_ops()
+    add, mul, neg = R._add, R._mul, R._neg
     codes = frozenset(range(n))  # set membership keeps the per-triple checks cheap
     out_of_range = done(False, note="operation result out of code range", mode="sampled")
     for x in range(n):

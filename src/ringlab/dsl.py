@@ -398,18 +398,10 @@ def elaborate(node: Node, guard: ResourceGuard = DEFAULT_GUARD):
             _enumerable(elaborate(node.args[0], guard)), elaborate_group(node.args[1]), guard
         )
     if k == "corner":
-        base = _enumerable(elaborate(node.args[0], guard))
-        code = node.args[1]
-        if code >= base.size:
-            raise RangeCheckError(f"element #{code} outside {base.label} of size {base.size}")
-        return cons.make_corner(base, code)
+        return cons.make_corner(_enumerable(elaborate(node.args[0], guard)), node.args[1])
     if k == "quotient":
         base = _enumerable(elaborate(node.args[0], guard))
-        gens = node.args[1:]
-        for g in gens:
-            if g >= base.size:
-                raise RangeCheckError(f"element #{g} outside {base.label} of size {base.size}")
-        return cons.make_quotient(base, cons.ideal_closure(base, gens))
+        return cons.make_quotient(base, cons.ideal_closure(base, node.args[1:]))
     raise ValueError(f"not a ring node: {k!r}")
 
 

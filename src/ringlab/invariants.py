@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .constructions import IdealSet, IntegersOracle
-from .core import FiniteRing
+from .core import BLOCK_ENTRIES, FiniteRing
 from .errors import AxiomViolation, UnsupportedPredicate
 
 
@@ -40,10 +40,6 @@ def nil_mask_by(mul, codes: np.ndarray, size: int, zero: int) -> np.ndarray:
     for _ in range(max(1, math.ceil(math.log2(size)))):
         v = mul(v, v)
     return v == zero
-
-
-# entries of one row block in the passes that cover all codes at once
-BLOCK_ENTRIES = 1 << 20
 
 
 class StructureCache:

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .constructions import IdealSet, IntegersOracle, decode_digits, prime_power
-from .core import Elem, FiniteRing, Verdict, characteristic
+from .core import BLOCK_ENTRIES, Elem, FiniteRing, Verdict, characteristic
 from .errors import AxiomViolation, NotAPrimePower, WrongRingKind
-from .invariants import BLOCK_ENTRIES, cache, multiplicative_order, vector_pow_by
+from .invariants import cache, multiplicative_order, vector_pow_by
 
 MAX_POW_EXPONENT = 1 << 62
 # the note of is_n_uu verdicts decided without the ring's tables
@@ -448,13 +448,13 @@ def augmentation_ideal(RG: FiniteRing) -> IdealSet:
     if RG.kind != "groupring":
         raise WrongRingKind(f"{RG.label} is not a group ring")
     base: FiniteRing = RG.meta["base"]
-    btabs = base.tables()
+    add = base.ops().add
     weights = RG.meta["weights"]
     sizes = RG.meta["slot_sizes"]
     codes = np.arange(RG.size, dtype=np.int64)
     acc = np.full(RG.size, base.zero, dtype=np.int64)
     for w, s in zip(weights, sizes):
-        acc = btabs.add[acc, (codes // w) % s]
+        acc = add(acc, (codes // w) % s)
     ideal = IdealSet(RG, acc == base.zero, [])
     ok, why = ideal.verify_ideal()
     if not ok:

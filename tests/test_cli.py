@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from ringlab import make_matrix, make_zmod
 from ringlab.cli import main
+from ringlab.predicates import lcm_criterion
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +56,24 @@ def test_classify_integers_reports_na(capsys):
     assert payload["size"] is None
     assert payload["classes"]["2-UU"] is True
     assert payload["classes"]["nil-clean"] is None
+
+
+def test_classify_a_quotient_of_a_ring_above_the_memo_budget(capsys):
+    # M(2,Z(9)) is too large for tables; the ideal generated by 3 is its
+    # radical M(2,3Z(9)), and the quotient is M(2,Z(3)) with the same classes
+    assert not make_matrix(make_zmod(9), 2).table_capable
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classify", "Quot(M(2,Z(9)),#3)", "--format", "json")
+    assert code == 0 and time.perf_counter() - start < 5
+    quotient = json.loads(out)
+    code, out, _ = run_cli(capsys, "classify", "M(2,Z(3))", "--format", "json")
+    base = json.loads(out)
+    assert quotient.pop("ring") == "Quot(M(2,Z(9)),#3)"
+    assert base.pop("ring") == "M(2,Z(3))"
+    assert quotient == base
+    assert quotient["uu_exponent"] == 8 == lcm_criterion(3, 2)
+    # strongly 9-nil-clean exactly when 8-UU (the ring is strongly pi-regular)
+    assert quotient["strongly_n_nil_clean"]["9"] is quotient["classes"]["8-UU"] is True
 
 
 def test_table_names_the_differing_cell_on_mismatch(capsys, monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 
 import ringlab as rl
 from ringlab import (
+    IdealSet,
+    constructions,
     dsl,
     ideal_closure,
     integers_oracle,
@@ -37,7 +39,7 @@ from ringlab.errors import (
     UnsupportedPredicate,
 )
 from ringlab.groups import cyclic, quaternion8
-from ringlab.invariants import jacobson_radical, nilpotent_codes, unit_codes, uu_exponent
+from ringlab.invariants import idempotents, jacobson_radical, nilpotent_codes, unit_codes, uu_exponent
 from ringlab.predicates import is_n_uu
 
 
@@ -450,8 +452,6 @@ def test_quotient_z4_by_2_is_z2(z4):
 
 
 def test_quotient_rejects_non_ideal(z12):
-    from ringlab import IdealSet
-
     mask = np.zeros(12, dtype=bool)
     mask[[0, 1]] = True
     with pytest.raises(NotAnIdeal):
@@ -479,6 +479,173 @@ def test_subring_is_actual_subring(m2z3):
     for i in range(sub.size):
         for j in range(sub.size):
             assert carrier[sub.mul(i, j)] == m2z3.mul(int(carrier[i]), int(carrier[j]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ideal_closure(make_zmod(12), [-4]),
+        lambda: subring_closure(make_matrix(make_zmod(2), 2), [-1]),
+        lambda: make_corner(make_zmod(12), 12),
+    ],
+    ids=["ideal_closure", "subring_closure", "make_corner"],
+)
+def test_derived_rings_reject_codes_out_of_range(call):
+    with pytest.raises(RangeCheckError, match="outside"):
+        call()
+
+
+def _z4_with_broken_negation(guard):
+    # x -> 1 - x is no additive inverse: {0, 2} is closed under + but not under it
+    return rl.FiniteRing(4, lambda i, j: (i + j) % 4, lambda i, j: i * j % 4, lambda i: (1 - i) % 4,
+                         one=1, guard=guard)
+
+
+def _m2z2(guard):
+    return make_matrix(make_zmod(2, guard), 2, guard)
+
+
+IDEAL_REASONS = {
+    "zero missing": (lambda guard: make_zmod(12, guard), [2, 4]),
+    "not closed under addition": (lambda guard: make_zmod(12, guard), [0, 1, 11]),
+    "not closed under negation": (_z4_with_broken_negation, [0, 2]),
+    # {0, E11}: E21 * E11 = E21 leaves it
+    "not a left ideal": (_m2z2, [0, 1]),
+    # the first column (E11 and E21, codes 1 and 4) is a left ideal only: E11 * E12 = E12
+    "not a right ideal": (_m2z2, [0, 1, 4, 5]),
+    None: (lambda guard: make_zmod(12, guard), [0, 4, 8]),
+}
+
+
+def _verify_ideal_by_elements(I):
+    """Reference: the reason of IdealSet.verify_ideal, one element pair at a time."""
+    R, mask = I.ring, I.mask
+    mem = I.members().tolist()
+    if not mask[R.zero]:
+        return False, "zero missing"
+    if not all(mask[R.add(a, b)] for a in mem for b in mem):
+        return False, "not closed under addition"
+    if not all(mask[R.neg(a)] for a in mem):
+        return False, "not closed under negation"
+    if not all(mask[R.mul(r, a)] for r in range(R.size) for a in mem):
+        return False, "not a left ideal"
+    if not all(mask[R.mul(a, r)] for a in mem for r in range(R.size)):
+        return False, "not a right ideal"
+    return True, None
+
+
+@pytest.mark.parametrize("kernel", [False, True], ids=["tables", "kernel"])
+@pytest.mark.parametrize("reason", IDEAL_REASONS, ids=str)
+def test_verify_ideal_names_each_failure(reason, kernel):
+    build, members = IDEAL_REASONS[reason]
+    R = build(rl.ResourceGuard())
+    if kernel:
+        R = build(_kernel_guard(R.size))
+    assert R.table_capable is not kernel
+    mask = np.zeros(R.size, dtype=bool)
+    mask[members] = True
+    I = IdealSet(R, mask)
+    assert I.verify_ideal() == (reason is None, reason)
+    assert _verify_ideal_by_elements(I) == (reason is None, reason)
+
+
+def _ideal_closure_by_elements(R, codes):
+    """Reference: grow the set by every sum, negative and product with the ring until it is stable."""
+    mask = np.zeros(R.size, dtype=bool)
+    mask[[R.zero, *codes]] = True
+    while True:
+        acc = set(np.flatnonzero(mask).tolist())
+        for a in np.flatnonzero(mask).tolist():
+            acc.add(R.neg(a))
+            for b in np.flatnonzero(mask).tolist():
+                acc.add(R.add(a, b))
+            for r in range(R.size):
+                acc.add(R.mul(r, a))
+                acc.add(R.mul(a, r))
+        new = np.array(sorted(acc))
+        if mask[new].all():
+            return mask
+        mask[new] = True
+
+
+def _subring_carrier_by_elements(R, codes):
+    """Reference: grow {0, 1} and the generators by every sum, negative and product until stable."""
+    acc = {R.zero, R.one, *codes}
+    while True:
+        grown = set(acc)
+        for a in acc:
+            grown.add(R.neg(a))
+            for b in acc:
+                grown.add(R.add(a, b))
+                grown.add(R.mul(a, b))
+        if grown == acc:
+            return sorted(acc)
+        acc = grown
+
+
+def _is_nil_by_elements(I):
+    """Reference: chase the sets of products of k members until {0}, or until a
+    set recurs, after which the chase cycles."""
+    R = I.ring
+    mem = I.members().tolist()
+    current, seen = frozenset(mem), set()
+    while current not in seen:
+        if current == {R.zero}:
+            return True
+        seen.add(current)
+        current = frozenset(R.mul(x, y) for x in current for y in mem)
+    return False
+
+
+def _rep_map_by_elements(R, I):
+    """Reference: the least code of each coset a + I."""
+    return [min(R.add(a, i) for i in I.members().tolist()) for a in range(R.size)]
+
+
+def _corner_carrier_by_elements(R, e):
+    """Reference: the codes e * r * e over every r."""
+    return sorted({R.mul(R.mul(e, r), e) for r in range(R.size)})
+
+
+DERIVED_RINGS = ("Z(12)", "Prod(Z(2),Z(3))", "M(2,Z(2))", "T(2,Z(4))", "TrivExt(Z(4))", "GR(Z(2),C(4))",
+                 "Poly(Z(3),2)", "FT(Z(2),Z(2))")
+
+
+@pytest.mark.parametrize("block", [constructions.BLOCK_ENTRIES, 97])
+@pytest.mark.parametrize("kernel", [False, True], ids=["tables", "kernel"])
+def test_derived_rings_match_the_element_loops(kernel, block, monkeypatch):
+    # 97 entries per block: the passes over these rings' rows end mid-ring
+    monkeypatch.setattr(constructions, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(7)
+    for expr in DERIVED_RINGS:
+        R = dsl.elaborate(dsl.parse_ring_expr(expr))
+        if kernel:
+            R = dsl.elaborate(dsl.parse_ring_expr(expr), _kernel_guard(R.size))
+        assert R.table_capable is not kernel
+        nilpotent = set(brute_nilpotents(R))
+        for g in range(0, R.size, max(1, R.size // 16)):
+            I = ideal_closure(R, [g])
+            assert I.mask.tolist() == _ideal_closure_by_elements(R, [g]).tolist(), (expr, g)
+            assert I.verify_ideal() == (True, None)
+            assert I.is_nil() == _is_nil_by_elements(I), (expr, g)
+            # a nil ideal of a finite ring is nilpotent (Levitzki)
+            assert I.is_nil() == (set(I.members().tolist()) <= nilpotent), (expr, g)
+            if R.one not in I:  # R/R has one element, no unital ring
+                Q = make_quotient(R, I)
+                assert Q.meta["rep_map"].tolist() == _rep_map_by_elements(R, I), (expr, g)
+                assert Q.meta["carrier"].tolist() == sorted(set(Q.meta["rep_map"].tolist()))
+            for gens in ([g], [g, int(rng.integers(R.size))]):
+                S = subring_closure(R, gens)
+                assert S.meta["carrier"].tolist() == _subring_carrier_by_elements(R, gens), (expr, gens)
+            # a random set with zero, mostly not an ideal
+            mask = rng.random(R.size) < 0.3
+            mask[R.zero] = True
+            J = IdealSet(R, mask)
+            assert J.verify_ideal() == _verify_ideal_by_elements(J), (expr, g)
+        for e in idempotents(R):
+            if e != R.zero:
+                C = make_corner(R, e)
+                assert C.meta["carrier"].tolist() == _corner_carrier_by_elements(R, e), (expr, e)
 
 
 # -- the integers oracle -----------------------------------------------------------
