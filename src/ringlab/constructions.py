@@ -3,13 +3,14 @@
 Most constructions present their elements as tuples of digits over smaller
 base rings (matrix entries, polynomial coefficients, group-ring
 coefficients, ...).  The shared machinery below writes each multiplication
-formula once against the base rings' operations: their scalar methods give
-the scalar operations, their ops() give the ring's kernel on code arrays,
-from which FiniteRing builds the tables.  Derived carriers (corners,
-quotients, subrings) re-index a parent ring's operations instead.  Ideals,
-closures, quotients and corners are computed on the parent's ops() alone,
-so at any size: each pass over a grid of products runs in row blocks of
-BLOCK_ENTRIES entries, each reduced at once into a bitset or row minima.
+formula once, as the ring's kernel on code arrays, against the base rings'
+ops().  The kernel is the only arithmetic a construction gives: FiniteRing
+builds the tables from it, and its scalar methods read the tables or the
+kernel.  Derived carriers (corners, quotients, subrings) re-index a parent
+ring's ops() instead.  Ideals, closures, quotients and corners are computed
+on the parent's ops() alone, so at any size: each pass over a grid of
+products runs in row blocks of BLOCK_ENTRIES entries, each reduced at once
+into a bitset or row minima.
 
 Element coding is the documented mixed-radix convention: digit i carries
 weight prod(sizes[:i]), so digit 0 varies fastest and the zero element is
@@ -66,15 +67,15 @@ def _tuple_ring(
 ) -> FiniteRing:
     """Assemble a ring whose elements are digit tuples over base rings.
 
-    mul_digits runs on the base rings themselves for the scalar operations
-    and on the bases' ops() for the ring's kernel: add/mul/neg on arrays of
-    codes, digit by digit.  The kernel needs no table of the ring itself, so
-    it serves rings beyond the memo budget, and it builds the tables of
-    those within it.  unit_digits, when given, maps the digit arrays of all
-    codes and the base tables to the unit bitset, or to None when it does
-    not apply to these bases; the mask is None too when a base has no
-    tables.  table_mul, when given, maps the digit mul to another mul on
-    code arrays, which builds the ring's mul table in its place.
+    The ring's kernel, its only arithmetic, is add/mul/neg on arrays of
+    codes, digit by digit through the bases' ops(), with mul_digits on those
+    ops.  The kernel needs no table of the ring itself, so it serves rings
+    beyond the memo budget, and it builds the tables of those within it.
+    unit_digits, when given, maps the digit arrays of all codes and the base
+    tables to the unit bitset, or to None when it does not apply to these
+    bases; the mask is None too when a base has no tables.  table_mul, when
+    given, maps the digit mul to another mul on code arrays, which builds the
+    ring's mul table in its place.
     """
     sizes = [b.size for b in bases]
     weights, total = _weights(sizes)
@@ -89,21 +90,6 @@ def _tuple_ring(
         # works on int codes and on code arrays alike
         return [(code // weights[t]) % sizes[t] for t in range(width)]
 
-    def encode(digits) -> int:
-        return sum(int(d) * w for d, w in zip(digits, weights))
-
-    def add(i: int, j: int) -> int:
-        di, dj = decode(i), decode(j)
-        return encode(bases[t].add(di[t], dj[t]) for t in range(width))
-
-    def neg(i: int) -> int:
-        di = decode(i)
-        return encode(bases[t].neg(di[t]) for t in range(width))
-
-    def mul(i: int, j: int) -> int:
-        return encode(mul_digits(decode(i), decode(j), bases))
-
-    @functools.cache
     def kernel() -> ArrayOps:
         vops = [b.ops() for b in bases]
 
@@ -141,9 +127,6 @@ def _tuple_ring(
     meta["slot_sizes"] = tuple(sizes)
     return FiniteRing(
         total,
-        add,
-        mul,
-        neg,
         one=sum(int(d) * w for d, w in zip(one_digits, weights)),
         label=label,
         kind=kind,
@@ -159,10 +142,6 @@ def decode_digits(R: FiniteRing, code: int) -> list[int]:
     weights = R.meta["weights"]
     sizes = R.meta["slot_sizes"]
     return [(code // w) % s for w, s in zip(weights, sizes)]
-
-
-def encode_digits(R: FiniteRing, digits: Sequence[int]) -> int:
-    return sum(int(d) * w for d, w in zip(digits, R.meta["weights"]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +169,6 @@ def make_zmod(n: int, guard: Optional[ResourceGuard] = None, *, label: Optional[
     meta.update(extra_meta or {})
     return FiniteRing(
         n,
-        lambda i, j: (i + j) % n,
-        lambda i, j: (i * j) % n,
-        lambda i: (-i) % n,
         one=1,
         label=label or f"Z({n})",
         kind=kind,
@@ -700,55 +676,34 @@ def _mapped_ring(
     label: str,
     kind: str,
     meta: dict,
-    reduce_code: Optional[Callable[[int], int]] = None,
-    reduce_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    reduce: Optional[np.ndarray] = None,
 ) -> FiniteRing:
     """A ring living on a subset of parent codes, densely re-indexed.
 
-    reduce_code maps a raw parent result back into the carrier (identity
-    for subsets closed under the operations, coset representative for
-    quotients), and reduce_vec does the same on code arrays for the kernel,
-    which is the parent's ops() read through the carrier.
+    Its kernel is the parent's ops() read through the carrier.  reduce maps
+    every parent code into the carrier (the coset representative, for
+    quotients); without it the carrier must be closed under the operations.
     """
-    carrier = np.asarray(sorted(int(c) for c in carrier), dtype=np.int64)
-    size = carrier.size
-    index = {int(c): i for i, c in enumerate(carrier)}
-    if reduce_code is None:
-        reduce_code = lambda x: x
-    if reduce_vec is None:
-        reduce_vec = lambda x: x
-
-    p_add, p_mul, p_neg = parent.add, parent.mul, parent.neg
-
-    def add(i, j):
-        return index[reduce_code(p_add(int(carrier[i]), int(carrier[j])))]
-
-    def mul(i, j):
-        return index[reduce_code(p_mul(int(carrier[i]), int(carrier[j])))]
-
-    def neg(i):
-        return index[reduce_code(p_neg(int(carrier[i])))]
+    carrier = np.sort(np.asarray(carrier, dtype=np.int64))
 
     def kernel() -> ArrayOps:
         pops = parent.ops()
-        lookup = np.full(parent.size, -1, dtype=np.int64)
-        lookup[carrier] = np.arange(size)
+        index = np.full(parent.size, -1, dtype=np.int64)
+        index[carrier] = np.arange(carrier.size)
+        if reduce is not None:
+            index = index[reduce]
 
         def lift(op):
-            return lambda *codes: lookup[reduce_vec(op(*(carrier[c] for c in codes)))]
+            return lambda *codes: index[op(*(carrier[c] for c in codes))]
 
         return ArrayOps(lift(pops.add), lift(pops.mul), lift(pops.neg), lambda: None)
 
     meta = dict(meta)
     meta["parent"] = parent
     meta["carrier"] = carrier
-
     return FiniteRing(
-        size,
-        add,
-        mul,
-        neg,
-        one=index[one_parent],
+        carrier.size,
+        one=int(np.searchsorted(carrier, one_parent)),
         label=label,
         kind=kind,
         meta=meta,
@@ -895,8 +850,7 @@ def make_quotient(R: FiniteRing, I: IdealSet) -> FiniteRing:
         label=label,
         kind="quotient",
         meta={"ideal": I, "rep_map": rep_map},
-        reduce_code=lambda x: int(rep_map[x]),
-        reduce_vec=lambda arr: rep_map[arr],
+        reduce=rep_map,
     )
 
 

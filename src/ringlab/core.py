@@ -7,14 +7,18 @@ vectors, matrices, coset representatives, ...), which keeps membership
 tests and witness ordering deterministic.
 
 Rings are immutable after construction and safe to share across threads.
-Every ring computes on arrays of codes through ops(): when the squared size
-fits the memo budget, by gathers from numpy tables that are materialized at
-most once from the ring's kernel and never change semantics, otherwise by
-that kernel itself.
+A construction gives its arithmetic once, as a kernel: add/mul/neg on
+arrays of codes.  Every ring computes on arrays of codes through ops():
+when the squared size fits the memo budget, by gathers from numpy tables
+that are materialized at most once from the kernel and never change
+semantics, otherwise by the kernel itself.  The scalar methods read the
+tables when they are built and the kernel otherwise; they never build
+tables.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -69,14 +73,14 @@ class ArrayOps(NamedTuple):
     unit_mask: Callable[[], Optional[np.ndarray]]
 
 
-def _elementwise(R: "FiniteRing") -> ArrayOps:
+def _elementwise(add: Callable, mul: Callable, neg: Callable) -> ArrayOps:
     """The kernel of a ring given by scalar functions alone: each applied entry by entry."""
 
     def lift(f, arity):
         ufunc = np.frompyfunc(f, arity, 1)
         return lambda *codes: np.asarray(ufunc(*codes), dtype=np.int64)
 
-    return ArrayOps(lift(R._add, 2), lift(R._mul, 2), lift(R._neg, 1), lambda: None)
+    return ArrayOps(lift(add, 2), lift(mul, 2), lift(neg, 1), lambda: None)
 
 
 @dataclass
@@ -111,7 +115,12 @@ class Verdict:
 
 
 class FiniteRing:
-    """A finite unital ring on dense codes with optional numpy tables."""
+    """A finite unital ring on dense codes with optional numpy tables.
+
+    Constructions pass their kernel, a factory of the ring's ArrayOps, which
+    is called at most once.  The positional add, mul and neg serve rings
+    given by scalar functions alone, whose kernel applies them entry by entry.
+    """
 
     __slots__ = (
         "size",
@@ -121,9 +130,6 @@ class FiniteRing:
         "kind",
         "meta",
         "guard",
-        "_add",
-        "_mul",
-        "_neg",
         "_render",
         "_kernel",
         "_ops",
@@ -134,9 +140,9 @@ class FiniteRing:
     def __init__(
         self,
         size: int,
-        add: Callable[[int, int], int],
-        mul: Callable[[int, int], int],
-        neg: Callable[[int], int],
+        add: Optional[Callable[[int, int], int]] = None,
+        mul: Optional[Callable[[int, int], int]] = None,
+        neg: Optional[Callable[[int], int]] = None,
         *,
         one: int,
         zero: int = 0,
@@ -153,6 +159,10 @@ class FiniteRing:
             raise AxiomViolation("a unital ring needs at least the two elements 0 and 1")
         if zero == one:
             raise AxiomViolation("zero and one must be distinct codes")
+        if kernel is None:
+            if None in (add, mul, neg):
+                raise TypeError("a ring needs its kernel or all of add, mul and neg")
+            kernel = functools.partial(_elementwise, add, mul, neg)
         self.size = size
         self.zero = zero
         self.one = one
@@ -160,34 +170,31 @@ class FiniteRing:
         self.kind = kind
         self.meta = meta or {}
         self.guard = guard
-        self._add = add
-        self._mul = mul
-        self._neg = neg
         self._render = render
-        self._kernel = kernel or (lambda: _elementwise(self))
+        self._kernel = functools.cache(kernel)
         self._ops: Optional[ArrayOps] = None
         self._tables: Optional[OpTables] = None
         self._cache = None  # StructureCache, attached lazily by invariants
 
-    # -- scalar arithmetic -------------------------------------------------
+    # -- scalar arithmetic: the tables when built, else the kernel ----------
 
     def add(self, i: int, j: int) -> int:
         t = self._tables
         if t is not None:
             return int(t.add[i, j])
-        return self._add(i, j)
+        return int(self._kernel().add(i, j))
 
     def mul(self, i: int, j: int) -> int:
         t = self._tables
         if t is not None:
             return int(t.mul[i, j])
-        return self._mul(i, j)
+        return int(self._kernel().mul(i, j))
 
     def neg(self, i: int) -> int:
         t = self._tables
         if t is not None:
             return int(t.neg[i])
-        return self._neg(i)
+        return int(self._kernel().neg(i))
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -332,6 +339,26 @@ def characteristic(R: FiniteRing) -> int:
     return k
 
 
+_OUT_OF_RANGE = "operation result out of code range"
+# the notes of sampled mode's checks, in the column order of their masks
+_SAMPLED_UNARY_FAILURES = (
+    "zero is not an additive identity",
+    _OUT_OF_RANGE,
+    "neg is not an additive inverse",
+    "one is not a left identity",
+    "one is not a right identity",
+)
+_SAMPLED_TERNARY_FAILURES = (
+    _OUT_OF_RANGE,
+    "addition is not commutative",
+    _OUT_OF_RANGE,
+    "addition is not associative",
+    "multiplication is not associative",
+    "left distributivity fails",
+    "right distributivity fails",
+)
+
+
 def _first_bad(mask: np.ndarray) -> Optional[tuple]:
     """Index of the first True entry in C-order, or None."""
     flat = np.flatnonzero(mask.ravel())
@@ -350,7 +377,7 @@ def _table_violation(tables: OpTables, zero: int, one: int) -> Optional[tuple]:
     n = len(neg_t)
     codes = np.arange(n, dtype=_TABLE_DTYPE)
     if not all((t >= 0).all() and (t < n).all() for t in tables):
-        return None, "operation result out of code range"
+        return None, _OUT_OF_RANGE
     bad = _first_bad(add_t[zero] != codes)
     if bad:
         return [("x", int(bad[0]))], "zero is not an additive identity"
@@ -493,14 +520,6 @@ def _ternary_by_generators(add_t: np.ndarray, mul_t: np.ndarray, zero: int) -> O
     return bool(np.array_equal(left, right))
 
 
-_TERNARY_LAW_FAILURES = (
-    "addition is not associative",
-    "multiplication is not associative",
-    "left distributivity fails",
-    "right distributivity fails",
-)
-
-
 def verify_ring_axioms(R: FiniteRing, seed: int = 0, sample_triples: int = AXIOM_SAMPLE_TRIPLES) -> Verdict:
     """Check the ring axioms, exhaustively up to the size threshold.
 
@@ -515,11 +534,13 @@ def verify_ring_axioms(R: FiniteRing, seed: int = 0, sample_triples: int = AXIOM
     fails, the ternary laws are rescanned over all N^3 triples, and a failed
     verdict's witness is the first violating tuple in that scan's order.
 
-    Above the threshold (or when no tables fit the budget) the ternary laws
-    are checked on a seeded deterministic sample of triples and the verdict
-    records mode="sampled"; the witness is the first violating tuple drawn.
-    Negations and every result computed for a drawn triple are range-checked
-    there too.
+    Above the threshold (or when no tables fit the budget) the verdict
+    records mode="sampled".  The identity and inverse laws are checked on
+    every code, and commutativity and the ternary laws on a seeded
+    deterministic sample of triples, all on arrays through the ring's kernel,
+    a chunk of triples at a time, so no table is built.  The witness is the
+    first violating element, or triple in the order drawn.  Negations and
+    every result computed for a drawn triple are range-checked there too.
     """
     start = time.perf_counter()
     n = R.size
@@ -551,40 +572,46 @@ def verify_ring_axioms(R: FiniteRing, seed: int = 0, sample_triples: int = AXIOM
             return done(False, *bad)
         return done(True)
 
-    # sampled mode: unary/identity laws in full, ternary laws on a seeded sample;
-    # results are range-checked before they are used as operands or compared
-    add, mul, neg = R._add, R._mul, R._neg
-    codes = frozenset(range(n))  # set membership keeps the per-triple checks cheap
-    out_of_range = done(False, note="operation result out of code range", mode="sampled")
-    for x in range(n):
-        if add(R.zero, x) != x:
-            return done(False, [("x", x)], "zero is not an additive identity", mode="sampled")
-        if neg(x) not in codes:
-            return out_of_range
-        if add(x, neg(x)) != R.zero:
-            return done(False, [("x", x)], "neg is not an additive inverse", mode="sampled")
-        if mul(R.one, x) != x:
-            return done(False, [("a", R.one), ("b", x)], "one is not a left identity", mode="sampled")
-        if mul(x, R.one) != x:
-            return done(False, [("a", x), ("b", R.one)], "one is not a right identity", mode="sampled")
-    rng = np.random.default_rng(seed)
-    triples = rng.integers(0, n, size=(sample_triples, 3))
-    for a, b, c in triples.tolist():
-        ab, ba, bc = add(a, b), add(b, a), add(b, c)
-        pab, pbc, pac = mul(a, b), mul(b, c), mul(a, c)
-        if not codes.issuperset((ab, ba, bc, pab, pbc, pac)):
-            return out_of_range
-        if ab != ba:
-            return done(False, [("a", a), ("b", b)], "addition is not commutative", mode="sampled")
-        sides = (
-            add(ab, c), add(a, bc),  # (a+b)+c, a+(b+c)
-            mul(pab, c), mul(a, pbc),  # (ab)c, a(bc)
-            mul(a, bc), add(pab, pac),  # a(b+c), ab+ac
-            mul(ab, c), add(pac, pbc),  # (a+b)c, ac+bc
+    # sampled mode, through the kernel (ops() could build tables far beyond
+    # the sample's worth): the laws on every code, then the ternary laws on a
+    # seeded sample of triples.  Each check is a column of a mask, so its first
+    # True in C order is the first failure in (element or triple, check)
+    # order.  Results are range-checked, and an out-of-range code replaced by
+    # 0, before they are used as operands.
+    ops = R._kernel()
+
+    def in_range(*results):
+        ok = np.logical_and.reduce([(r >= 0) & (r < n) for r in results])
+        return ok, [np.where(ok, r, 0) for r in results]
+
+    x = np.arange(n, dtype=np.int64)
+    neg_ok, (neg_x,) = in_range(ops.neg(x))
+    unary = (
+        ops.add(R.zero, x) != x, ~neg_ok, ops.add(x, neg_x) != R.zero, ops.mul(R.one, x) != x, ops.mul(x, R.one) != x
+    )
+    bad = _first_bad(np.stack(unary, axis=1))
+    if bad:
+        y, check = map(int, bad)
+        witness = ([("x", y)], None, [("x", y)], [("a", R.one), ("b", y)], [("a", y), ("b", R.one)])[check]
+        return done(False, witness, _SAMPLED_UNARY_FAILURES[check], mode="sampled")
+    triples = np.random.default_rng(seed).integers(0, n, size=(sample_triples, 3))
+    step = max(1, BLOCK_ENTRIES // 16)  # 14 results per triple: about BLOCK_ENTRIES per chunk
+    for lo in range(0, sample_triples, step):
+        a, b, c = triples[lo : lo + step].T
+        ok, (ab, ba, bc, pab, pbc, pac) = in_range(
+            ops.add(a, b), ops.add(b, a), ops.add(b, c), ops.mul(a, b), ops.mul(b, c), ops.mul(a, c)
         )
-        if not codes.issuperset(sides):
-            return out_of_range
-        for law, note in enumerate(_TERNARY_LAW_FAILURES):
-            if sides[2 * law] != sides[2 * law + 1]:
-                return done(False, [("a", a), ("b", b), ("c", c)], note, mode="sampled")
+        sides_ok, sides = in_range(
+            ops.add(ab, c), ops.add(a, bc),  # (a+b)+c, a+(b+c)
+            ops.mul(pab, c), ops.mul(a, pbc),  # (ab)c, a(bc)
+            ops.mul(a, bc), ops.add(pab, pac),  # a(b+c), ab+ac
+            ops.mul(ab, c), ops.add(pac, pbc),  # (a+b)c, ac+bc
+        )
+        checks = [~ok, ab != ba, ~sides_ok] + [sides[k] != sides[k + 1] for k in range(0, 8, 2)]
+        bad = _first_bad(np.stack(checks, axis=1))
+        if bad:
+            row, check = map(int, bad)
+            roles = (0, 2, 0, 3, 3, 3, 3)[check]
+            witness = list(zip("abc", triples[lo + row, :roles].tolist())) if roles else None
+            return done(False, witness, _SAMPLED_TERNARY_FAILURES[check], mode="sampled")
     return done(True, mode="sampled")

@@ -34,14 +34,6 @@ def vector_pow_by(mul, base: np.ndarray, n: int, one: int) -> np.ndarray:
     return result
 
 
-def nil_mask_by(mul, codes: np.ndarray, size: int, zero: int) -> np.ndarray:
-    """Which codes are nilpotent: a^(2^ceil(log2 N)) = 0 is exact in a ring of size N."""
-    v = codes
-    for _ in range(max(1, math.ceil(math.log2(size)))):
-        v = mul(v, v)
-    return v == zero
-
-
 class StructureCache:
     """Per-ring memo of the structural sets every predicate consumes."""
 
@@ -74,9 +66,11 @@ class StructureCache:
     def nil_mask(self) -> np.ndarray:
         """Bitset of nilpotents: a^(2^ceil(log2 N)) = 0 is exact for finite rings."""
         if "nil" not in self._d:
-            N = self.ring.size
-            codes = np.arange(N, dtype=np.int64)
-            self._d["nil"] = nil_mask_by(self.ring.ops().mul, codes, N, self.ring.zero)
+            mul = self.ring.ops().mul
+            v = np.arange(self.ring.size, dtype=np.int64)
+            for _ in range(max(1, math.ceil(math.log2(self.ring.size)))):
+                v = mul(v, v)
+            self._d["nil"] = v == self.ring.zero
         return self._d["nil"]
 
     @property

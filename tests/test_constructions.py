@@ -219,6 +219,52 @@ def test_ops_kernel_matches_the_tables(name):
     assert K.try_tables() is None
 
 
+def _c3_convolution(x, y):
+    out = [0, 0, 0]
+    for g in range(3):
+        for h in range(3):
+            out[(g + h) % 3] += x[g] * y[h]
+    return out
+
+
+# expr -> (digit modulus p, digit count, product of digit lists over Z), from
+# each construction's definition: the code of digits d is sum d[t] * p**t
+DEFINITIONS = {
+    # polynomials mod x^2 + 1 over Z(3)
+    "GF(9)": (3, 2, lambda x, y: [x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]]),
+    # row-major entries, row by column
+    "M(2,Z(3))": (3, 4, lambda x, y: [sum(x[2 * r + t] * y[2 * t + c] for t in range(2))
+                                      for r in range(2) for c in range(2)]),
+    # coefficients, constant first: truncated convolution
+    "Poly(Z(4),3)": (4, 3, lambda x, y: [sum(x[i] * y[d - i] for i in range(d + 1)) for d in range(3)]),
+    # (r, n)(r', n') = (rr', rn' + nr')
+    "TrivExt(Z(4))": (4, 2, lambda x, y: [x[0] * y[0], x[0] * y[1] + x[1] * y[0]]),
+    # coefficient of g^k at digit k, g^i g^j = g^(i+j mod 3)
+    "GR(Z(2),C(3))": (2, 3, _c3_convolution),
+}
+
+
+def test_tables_and_kernel_match_the_definitions():
+    for expr, (p, width, mul_digits) in DEFINITIONS.items():
+        R = dsl.elaborate(dsl.parse_ring_expr(expr))
+        n = R.size
+        assert n == p ** width, expr
+        digits = [[code // p ** t % p for t in range(width)] for code in range(n)]
+
+        def code(ds):
+            return sum(d % p * p ** t for t, d in enumerate(ds))
+
+        add = [[code([a + b for a, b in zip(digits[i], digits[j])]) for j in range(n)] for i in range(n)]
+        mul = [[code(mul_digits(digits[i], digits[j])) for j in range(n)] for i in range(n)]
+        neg = [code([-a for a in digits[i]]) for i in range(n)]
+        tabs = R.tables()
+        assert (tabs.add.tolist(), tabs.mul.tolist(), tabs.neg.tolist()) == (add, mul, neg), expr
+        kernel = dsl.elaborate(dsl.parse_ring_expr(expr), _kernel_guard(n)).ops()
+        codes = np.arange(n)
+        cells = (kernel.add(codes[:, None], codes), kernel.mul(codes[:, None], codes), kernel.neg(codes))
+        assert tuple(c.tolist() for c in cells) == (add, mul, neg), expr
+
+
 # -- matrix-shaped rings ---------------------------------------------------------
 
 

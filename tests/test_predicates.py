@@ -246,7 +246,7 @@ def test_candidate_units_need_a_two_sided_inverse():
     # nilpotent is 4; the scalar functions alone give this ring's ops()
     guard = rl.ResourceGuard(mul_memo_budget_bytes=16)
     base = make_zmod(5, guard)
-    R = rl.FiniteRing(5, base._add, lambda i, j: 4 if (i, j) == (3, 2) else base._mul(i, j), base._neg,
+    R = rl.FiniteRing(5, base.add, lambda i, j: 4 if (i, j) == (3, 2) else base.mul(i, j), base.neg,
                       one=1, guard=guard)
     assert R.ops().unit_mask() is None
     verdict = is_n_uu(R, 1)
