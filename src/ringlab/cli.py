@@ -181,38 +181,21 @@ def _elaborate(expr: str, config: RunConfig):
 
 
 def _classify_payload(R, config: RunConfig) -> dict:
+    """The classify fields; those that enumerate elements read None for the integers oracle."""
     ns = range(max(2, config.n_range[0]), config.n_range[1] + 1)
-    if isinstance(R, IntegersOracle):
-        payload = {
-            "ring": R.label,
-            "size": None,
-            "characteristic": 0,
-            "units": len(R.units),
-            "nilpotents": len(R.nilpotents),
-            "idempotents": None,
-            "radical": None,
-            "uu_exponent": uu_exponent(R),
-            "classes": {
-                "UU": pred.is_uu(R).holds,
-                "2-UU": pred.is_n_uu(R, 2).holds,
-                "3-UU": pred.is_n_uu(R, 3).holds,
-                "6-UU": pred.is_n_uu(R, 6).holds,
-                "8-UU": pred.is_n_uu(R, 8).holds,
-                "pi-UU": pred.is_pi_uu(R).holds,
-                "nil-clean": None,
-                "strongly nil-clean": None,
-            },
-            "strongly_n_nil_clean": {str(n): None for n in ns},
-        }
-        return payload
+    finite = not isinstance(R, IntegersOracle)
+
+    def enumerated(value):
+        return value() if finite else None
+
     return {
         "ring": R.label,
         "size": R.size,
-        "characteristic": characteristic(R),
+        "characteristic": characteristic(R) if finite else 0,
         "units": len(unit_codes(R)),
         "nilpotents": len(nilpotent_codes(R)),
-        "idempotents": len(idempotents(R)),
-        "radical": len(jacobson_radical(R)),
+        "idempotents": enumerated(lambda: len(idempotents(R))),
+        "radical": enumerated(lambda: len(jacobson_radical(R))),
         "uu_exponent": uu_exponent(R),
         "classes": {
             "UU": pred.is_uu(R).holds,
@@ -221,11 +204,11 @@ def _classify_payload(R, config: RunConfig) -> dict:
             "6-UU": pred.is_n_uu(R, 6).holds,
             "8-UU": pred.is_n_uu(R, 8).holds,
             "pi-UU": pred.is_pi_uu(R).holds,
-            "nil-clean": pred.is_nil_clean(R).holds,
-            "strongly nil-clean": pred.is_strongly_n_nil_clean(R, 2).holds,
+            "nil-clean": enumerated(lambda: pred.is_nil_clean(R).holds),
+            "strongly nil-clean": enumerated(lambda: pred.is_strongly_n_nil_clean(R, 2).holds),
         },
         "strongly_n_nil_clean": {
-            str(n): pred.is_strongly_n_nil_clean(R, n).holds for n in ns
+            str(n): enumerated(lambda: pred.is_strongly_n_nil_clean(R, n).holds) for n in ns
         },
     }
 
@@ -420,6 +403,9 @@ def cmd_list(args, config: RunConfig, out: _Output) -> int:
 
 
 def cmd_decompose(args, config: RunConfig, out: _Output) -> int:
+    if args.kind == "n-nilclean" and args.n < 2:
+        print("decompose n-nilclean needs --n >= 2", file=sys.stderr)
+        return 2
     R = _elaborate(args.expr, config)
     if isinstance(R, IntegersOracle):
         print("decompositions need an enumerable ring", file=sys.stderr)
@@ -538,7 +524,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RinglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -231,18 +231,18 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 def from_cayley_json(source) -> FiniteGroup:
     """Load {"order": n, "table": [[...]], "label": str}; identity must sit at index 0."""
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
     try:
+        if isinstance(source, (str, bytes)):
+            with open(source, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = source
         order = int(data["order"])
-        table = data["table"]
+        table = np.asarray(data["table"], dtype=np.int64)
         label = str(data.get("label", "G"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers JSON syntax, undecodable bytes, a non-integer order and a ragged table
         raise AxiomViolation(f"malformed Cayley JSON: {exc}") from exc
-    table = np.asarray(table, dtype=np.int64)
     if table.shape != (order, order):
         raise AxiomViolation(f"Cayley JSON table shape {table.shape} does not match order {order}")
     group = FiniteGroup(table, label, validate=True)

@@ -179,6 +179,44 @@ def test_decompose_examples(capsys):
     assert out.strip() == "none"
 
 
+def test_decompose_above_the_memo_budget(capsys):
+    # idempotents, n-potents and nilpotents come from the kernel; units need the tables
+    assert not make_matrix(make_zmod(3), 3).table_capable
+    code, out, _ = run_cli(capsys, "decompose", "M(3,Z(3))", "5", "nilclean")
+    assert (code, out.strip()) == (0, "none")
+    code, out, _ = run_cli(capsys, "decompose", "M(3,Z(3))", "5", "n-nilclean", "--n", "3")
+    assert code == 0 and out.startswith("f=#5 ") and "q=#0 " in out
+    code, _, err = run_cli(capsys, "decompose", "M(3,Z(3))", "5", "piregular")
+    assert code == 2 and "exceeds the memo budget" in err
+
+
+def test_decompose_n_nilclean_needs_n_at_least_2(capsys):
+    code, out, err = run_cli(capsys, "decompose", "Z(6)", "2", "n-nilclean", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "needs --n >= 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("syntax.json", '{"order": 2,', "malformed Cayley JSON"),
+        ("order.json", '{"order": "x", "table": [[0, 1], [1, 0]]}', "malformed Cayley JSON"),
+        ("ragged.json", '{"order": 2, "table": [[0, 1], [1]]}', "malformed Cayley JSON"),
+        ("directory", None, "Is a directory"),
+    ],
+    ids=["syntax", "order", "ragged", "directory"],
+)
+def test_malformed_cayley_files_exit_2(capsys, tmp_path, name, content, message):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "classify", f"GR(Z(2),@{path})")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def test_decompose_bad_code_exits_2(capsys):
     code, _, err = run_cli(capsys, "decompose", "Z(5)", "#9", "nilclean")
     assert code == 2

@@ -86,6 +86,18 @@ def test_cayley_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.table, d3.table)
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"order": 2,', '{"order": "x", "table": [[0, 1], [1, 0]]}', '{"order": 2, "table": [[0, 1], [1]]}'],
+    ids=["syntax", "order", "ragged"],
+)
+def test_cayley_json_rejects_malformed_files(tmp_path, content):
+    path = tmp_path / "g.json"
+    path.write_text(content)
+    with pytest.raises(AxiomViolation, match="malformed Cayley JSON"):
+        from_cayley_json(str(path))
+
+
 def test_cayley_json_rejects_non_latin_square():
     bad = {"order": 2, "table": [[0, 0], [1, 1]], "label": "bad"}
     with pytest.raises(AxiomViolation):

@@ -18,6 +18,7 @@ from ringlab import (
     make_zmod,
     predicates,
 )
+from ringlab.constructions import decode_digits
 from ringlab.core import DEFAULT_MAX_RING_SIZE
 from ringlab.corpus import build_corpus
 from ringlab.errors import AxiomViolation, WrongRingKind
@@ -382,6 +383,86 @@ def test_is_nil_clean(z4, m2z2):
     assert is_nil_clean(m2z2).holds
 
 
+def _nil_clean_decompose_by_tables(a):
+    """(holds, witness) of nil_clean_decompose, read off the tables."""
+    R = a.ring
+    c = cache(R)
+    tabs = R.tables()
+    E = c.idempotents
+    q = tabs.add[a.code, tabs.neg[E]]
+    hits = np.flatnonzero(c.nil_mask[q])
+    if hits.size == 0:
+        return False, None
+    k = int(hits[0])
+    return True, [("e", int(E[k])), ("q", int(q[k]))]
+
+
+def _strongly_n_nil_clean_decompose_by_tables(a, n):
+    """(holds, witness) of strongly_n_nil_clean_decompose, read off the tables."""
+    R = a.ring
+    c = cache(R)
+    tabs = R.tables()
+    F = c.n_potents(n)
+    b = tabs.add[a.code, tabs.neg[F]]
+    # f commutes with q = a - f exactly when f commutes with a
+    ok = c.nil_mask[b] & (tabs.mul[a.code, F] == tabs.mul[F, a.code])
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return False, None
+    return True, [("f", int(F[int(hits[0])])), ("q", int(b[int(hits[0])]))]
+
+
+def _pi_regular_decompose_by_tables(a):
+    """(holds, witness) of pi_regular_decompose, read off the tables; raises
+    AxiomViolation, with the library's message, when a does not decompose."""
+    R = a.ring
+    c = cache(R)
+    tabs = R.tables()
+    pe, pu, eu = _eu_pairs(R)
+    w = tabs.add[a.code, tabs.neg[eu]]
+    idx = np.flatnonzero(c.nil_mask[w])
+    if idx.size:
+        ew, ee, uu_ = w[idx], pe[idx], pu[idx]
+        fine = (tabs.mul[ee, ew] == tabs.mul[ew, ee]) & (tabs.mul[uu_, ew] == tabs.mul[ew, uu_])
+        hits = np.flatnonzero(fine)
+        if hits.size:
+            k = int(idx[int(hits[0])])
+            return True, [("e", int(pe[k])), ("u", int(pu[k])), ("w", int(w[k]))]
+    raise AxiomViolation(f"no strongly pi-regular decomposition for code {a.code} in finite ring {R.label}")
+
+
+def _augmentation_by_loop(x):
+    """Coefficient sum of a group-ring element, one scalar addition at a time."""
+    base = x.ring.meta["base"]
+    total = base.zero
+    for c in decode_digits(x.ring, x.code):
+        total = base.add(total, c)
+    return total
+
+
+def _found(verdict):
+    return verdict.holds, verdict.witness
+
+
+def test_decompositions_match_the_table_references():
+    # every code of every corpus ring, witnesses included
+    for R in build_corpus():
+        if isinstance(R, str):
+            continue
+        for a in range(R.size):
+            x = R.elem(a)
+            assert _found(nil_clean_decompose(x)) == _nil_clean_decompose_by_tables(x), (R.label, a)
+            for n in (2, 3, 4):
+                expected = _strongly_n_nil_clean_decompose_by_tables(x, n)
+                assert _found(strongly_n_nil_clean_decompose(x, n)) == expected, (R.label, a, n)
+            assert _found(pi_regular_decompose(x)) == _pi_regular_decompose_by_tables(x), (R.label, a)
+        if R.kind == "groupring":
+            sums = [_augmentation_by_loop(R.elem(a)) for a in range(R.size)]
+            assert [augmentation(R.elem(a)).code for a in range(R.size)] == sums, R.label
+            kernel = [a for a, total in enumerate(sums) if total == R.meta["base"].zero]
+            assert augmentation_ideal(R).members().tolist() == kernel, R.label
+
+
 def test_nil_clean_decompose(z4, z5):
     verdict = nil_clean_decompose(z4.elem(3))
     assert verdict.holds and verdict.witness == [("e", 1), ("q", 2)]
@@ -428,9 +509,9 @@ def test_thm1_conditions_agree_on_small_rings(z4, z6, m2z2):
 
 
 def _strongly_pi_regular_by_elements(R):
-    """One pi_regular_decompose per element; raises AxiomViolation on the first failure."""
+    """One table-read decomposition per element; raises AxiomViolation on the first failure."""
     for a in range(R.size):
-        pi_regular_decompose(R.elem(a))
+        _pi_regular_decompose_by_tables(R.elem(a))
 
 
 def _thm1_by_elements(R, n, which):
@@ -517,6 +598,26 @@ def test_blocked_passes_agree_across_row_blocks(monkeypatch):
         rl.make_groupring(make_zmod(2), cyclic(4)),
     ]
     _assert_blocked_passes_match_element_checks(rings)
+
+
+def test_nil_clean_passes_without_tables_match_the_table_route():
+    # not even Z(2)'s tables fit a 16-byte budget, so every pass below runs on the
+    # rings' kernels, and a predicate that read R.tables() would raise SizeExceeded
+    tableless = [R for R in build_corpus(rl.ResourceGuard(mul_memo_budget_bytes=16)) if not isinstance(R, str)]
+    tabled = [R for R in build_corpus() if not isinstance(R, str)]
+    assert [R.label for R in tableless] == [R.label for R in tabled]
+    for K, T in zip(tableless, tabled):
+        assert not K.table_capable and T.table_capable
+        assert _found(is_nil_clean(K)) == _found(is_nil_clean(T)), K.label
+        for n in (2, 3, 5):
+            for which in (1, 4, 5):
+                assert _found(thm1_condition(K, n, which)) == _found(thm1_condition(T, n, which)), (K.label, n, which)
+        for a in range(K.size):
+            assert _found(nil_clean_decompose(K.elem(a))) == _found(nil_clean_decompose(T.elem(a))), (K.label, a)
+            for n in (2, 3):
+                expected = _found(strongly_n_nil_clean_decompose(T.elem(a), n))
+                assert _found(strongly_n_nil_clean_decompose(K.elem(a), n)) == expected, (K.label, a, n)
+        assert K._tables is None
 
 
 @pytest.mark.parametrize(
