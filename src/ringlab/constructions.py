@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_ENTRIES, DEFAULT_GUARD, ArrayOps, FiniteRing, Elem, OpTables, ResourceGuard, characteristic
+from .core import BLOCK_ENTRIES, DEFAULT_GUARD, ArrayOps, FiniteRing, Elem, OpTables, ResourceGuard, scalar_code
 from .errors import (
     NotAPrimePower,
     NotAnIdeal,
@@ -52,6 +52,11 @@ def _units_of(tables: OpTables, one: int) -> np.ndarray:
     return (tables.mul == one).any(axis=1)
 
 
+class _TupleRing(FiniteRing):
+    __slots__ = ()
+    _tables_from_generators = True
+
+
 def _tuple_ring(
     bases: Sequence[FiniteRing],
     mul_digits: Callable,
@@ -63,19 +68,17 @@ def _tuple_ring(
     guard: ResourceGuard,
     render_digits: Optional[Callable[[list[int]], str]] = None,
     unit_digits: Optional[Callable[[list[np.ndarray], list[OpTables]], Optional[np.ndarray]]] = None,
-    table_mul: Optional[Callable[[Callable], Callable]] = None,
 ) -> FiniteRing:
     """Assemble a ring whose elements are digit tuples over base rings.
 
     The ring's kernel, its only arithmetic, is add/mul/neg on arrays of
     codes, digit by digit through the bases' ops(), with mul_digits on those
     ops.  The kernel needs no table of the ring itself, so it serves rings
-    beyond the memo budget, and it builds the tables of those within it.
+    beyond the memo budget, and the tables of those within it are filled
+    from additive generators.  The ring's laws rest on the bases'.
     unit_digits, when given, maps the digit arrays of all codes and the base
     tables to the unit bitset, or to None when it does not apply to these
-    bases; the mask is None too when a base has no tables.  table_mul, when
-    given, maps the digit mul to another mul on code arrays, which builds the
-    ring's mul table in its place.
+    bases; the mask is None too when a base has no tables.
     """
     sizes = [b.size for b in bases]
     weights, total = _weights(sizes)
@@ -96,12 +99,6 @@ def _tuple_ring(
         def encode_vec(parts) -> np.ndarray:
             return sum(np.asarray(part, dtype=np.int64) * w for part, w in zip(parts, weights))
 
-        def vmul(x, y):
-            return encode_vec(mul_digits(decode(x), decode(y), vops))
-
-        if table_mul is not None and guard.allows_tables(total):
-            vmul = table_mul(vmul)  # this kernel only builds the tables, which ops() reads instead
-
         @functools.cache
         def unit_mask() -> Optional[np.ndarray]:
             tabs = [b.try_tables() for b in bases]
@@ -111,7 +108,7 @@ def _tuple_ring(
 
         return ArrayOps(
             lambda x, y: encode_vec([o.add(a, b) for o, a, b in zip(vops, decode(x), decode(y))]),
-            vmul,
+            lambda x, y: encode_vec(mul_digits(decode(x), decode(y), vops)),
             lambda x: encode_vec([o.neg(a) for o, a in zip(vops, decode(x))]),
             unit_mask,
         )
@@ -125,7 +122,7 @@ def _tuple_ring(
     meta = dict(meta)
     meta["weights"] = tuple(weights)
     meta["slot_sizes"] = tuple(sizes)
-    return FiniteRing(
+    return _TupleRing(
         total,
         one=sum(int(d) * w for d, w in zip(one_digits, weights)),
         label=label,
@@ -294,22 +291,6 @@ def make_gf(q: int, guard: Optional[ResourceGuard] = None) -> FiniteRing:
                 terms.append(xpow if c == 1 else f"{c}{xpow}")
         return " + ".join(terms) if terms else "0"
 
-    def log_mul(mul):
-        # g**k for k < q - 1 by doubling through the digit kernel's mul; the
-        # least g whose powers meet 1 only at k = 0 is primitive (code 1 is the one)
-        for g in range(2, q):
-            exp = np.ones(1, dtype=np.int64)
-            step = g
-            while exp.size < q - 1:
-                exp = np.concatenate([exp, mul(exp, step)])
-                step = int(mul(step, step))
-            exp = exp[: q - 1]
-            if (exp[1:] != 1).all():
-                break
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        return lambda x, y: np.where((x == 0) | (y == 0), 0, exp[(log[x] + log[y]) % (q - 1)])
-
     return _tuple_ring(
         [base] * e,
         mul_digits,
@@ -319,7 +300,6 @@ def make_gf(q: int, guard: Optional[ResourceGuard] = None) -> FiniteRing:
         meta={"p": p, "e": e, "q": q, "modulus": tuple(modulus)},
         guard=guard,
         render_digits=render_digits,
-        table_mul=log_mul,
     )
 
 
@@ -466,15 +446,6 @@ def make_ks(R: FiniteRing, s: int, guard: Optional[ResourceGuard] = None) -> Fin
         guard=guard,
         render_digits=render_digits,
     )
-
-
-def scalar_code(R: FiniteRing, s: int) -> int:
-    """The code of s*1 in R (s-fold sum of one, negatives through neg)."""
-    char = characteristic(R)
-    out = R.zero
-    for _ in range(s % char):
-        out = R.add(out, R.one)
-    return out
 
 
 def make_trivial_extension(R: FiniteRing, guard: Optional[ResourceGuard] = None) -> FiniteRing:

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import _additive_generators
 from .errors import AxiomViolation, RangeCheckError
 
 
@@ -47,9 +48,9 @@ class FiniteGroup:
         self.label = label
         self._elem_labels = elem_labels
         self._orders = None
-        if validate:
-            self._validate()
         ident = self._find_identity()
+        if validate:
+            self._validate(ident)
         if ident is None:
             raise AxiomViolation(f"group table for {label} has no identity")
         self.identity = ident
@@ -61,7 +62,7 @@ class FiniteGroup:
             inv[g] = int(hits[0])
         self._inverse = inv
 
-    def _validate(self) -> None:
+    def _validate(self, ident: Optional[int]) -> None:
         n = self.order
         t = self.table
         if (t < 0).any() or (t >= n).any():
@@ -70,10 +71,10 @@ class FiniteGroup:
         for i in range(n):
             if not np.array_equal(np.sort(t[i]), expect) or not np.array_equal(np.sort(t[:, i]), expect):
                 raise AxiomViolation(f"table is not a Latin square at row/column {i}")
-        # associativity: (ab)c == a(bc), vectorized over the full cube
-        left = t[t[:, :, None], np.arange(n)[None, None, :]]
-        right = t[np.arange(n)[:, None, None], t[None, :, :]]
-        if not np.array_equal(left, right):
+        # Light's test in O(n^2) memory (the s with (xs)y == x(sy) for all x, y are closed under
+        # products); a Latin square without identity or log2 n generators is no group.
+        gens = None if ident is None else _additive_generators(t, ident)
+        if gens is None or not all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens):
             raise AxiomViolation("table is not associative")
 
     def _find_identity(self) -> Optional[int]:

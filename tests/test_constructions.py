@@ -10,6 +10,7 @@ import ringlab as rl
 from ringlab import (
     IdealSet,
     constructions,
+    core,
     dsl,
     ideal_closure,
     integers_oracle,
@@ -166,21 +167,44 @@ def _kernel_guard(size):
     return rl.ResourceGuard(mul_memo_budget_bytes=8 * size * size - 1)
 
 
-def test_gf_tables_match_the_digit_kernel():
-    # the mul table comes from discrete logarithms, add and neg from digits;
-    # all three must equal the digit kernel's, entry for entry
-    for q in range(4, 730):
-        pe = prime_power(q)
-        if pe is None or pe[1] == 1:
-            continue
-        gf = make_gf(q)
-        kernel = make_gf(q, _kernel_guard(q)).ops()
-        codes = np.arange(q, dtype=np.int64)
-        rows, cols = codes[:, None], codes[None, :]
-        tabs = gf.tables()
-        assert np.array_equal(tabs.add, kernel.add(rows, cols)), q
-        assert np.array_equal(tabs.mul, kernel.mul(rows, cols)), q
-        assert np.array_equal(tabs.neg, kernel.neg(codes)), q
+# small bases, the last two non-commutative
+_TABLE_BASES = {"Z(2)": 2, "Z(4)": 4, "Z(6)": 6, "GF(4)": 4, "M(2,Z(2))": 16, "T(2,Z(2))": 8}
+# each tuple construction, with its number of base digits
+_TUPLE_CONSTRUCTIONS = [
+    ("M(2,{0})", 4), ("T(2,{0})", 3), *((f"Ks({{0}},{s})", 4) for s in range(4)), ("TrivExt({0})", 2),
+    ("Poly({0},3)", 3), ("Prod({0},Z(3))", 1), ("FT({0},{0})", 4), ("GR({0},C(2))", 2),
+]
+TUPLE_TABLE_EXPRS = [
+    form.format(base) for form, digits in _TUPLE_CONSTRUCTIONS for base, b in _TABLE_BASES.items()
+    if b ** digits <= 6 ** 4  # a kernel pass over 4096^2 cells takes about 2.5 s
+] + [f"GF({q})" for q in range(4, 730) if prime_power(q) and prime_power(q)[1] > 1]
+
+
+def _assert_tables_match_the_kernel(expr):
+    # the tables, filled from additive generators, against the digit kernel on
+    # every cell: additive associativity and right distributivity hold in the
+    # tables by how they are filled, so only this comparison tests them there
+    R = dsl.elaborate(dsl.parse_ring_expr(expr))
+    assert R._tables_from_generators, expr
+    kernel = dsl.elaborate(dsl.parse_ring_expr(expr), _kernel_guard(R.size)).ops()
+    tabs = R.tables()
+    codes = np.arange(R.size, dtype=np.int64)
+    for lo in range(0, R.size, 256):
+        rows = codes[lo : lo + 256, None]
+        assert np.array_equal(tabs.add[lo : lo + 256], kernel.add(rows, codes)), (expr, lo)
+        assert np.array_equal(tabs.mul[lo : lo + 256], kernel.mul(rows, codes)), (expr, lo)
+    assert np.array_equal(tabs.neg, kernel.neg(codes)), expr
+
+
+@pytest.mark.parametrize("expr", TUPLE_TABLE_EXPRS)
+def test_tuple_tables_match_the_digit_kernel(expr):
+    _assert_tables_match_the_kernel(expr)
+
+
+def test_generator_fill_ends_row_chunks_mid_block(monkeypatch):
+    # chunks of 3 rows, against doubling blocks of 1, 2, 1, 29, ... rows
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 3 * 6 ** 4)
+    _assert_tables_match_the_kernel("M(2,Z(6))")
 
 
 def _scalar_z6(guard):

@@ -1,6 +1,7 @@
 """Group catalog: axioms, element orders, JSON Cayley tables."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_cayley_json_rejects_malformed_files(tmp_path, content):
 
 def test_cayley_json_rejects_non_latin_square():
     bad = {"order": 2, "table": [[0, 0], [1, 1]], "label": "bad"}
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation, match="not a Latin square at row/column 0"):
         from_cayley_json(bad)
 
 
@@ -120,8 +121,28 @@ def test_cayley_json_rejects_nonassociative_latin_square():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation, match="table is not associative"):
         from_cayley_json({"order": 5, "table": table, "label": "quasigroup"})
+
+
+def test_cayley_json_rejects_a_latin_square_without_identity_as_nonassociative():
+    # x - y mod 3: an associative Latin square would be a group
+    table = [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
+    with pytest.raises(AxiomViolation, match="table is not associative"):
+        from_cayley_json({"order": 3, "table": table, "label": "difference"})
+
+
+def test_cayley_json_checks_associativity_in_quadratic_memory():
+    table = direct_product(cyclic(10), cyclic(20)).table
+    tracemalloc.start()
+    try:
+        group = from_cayley_json({"order": 200, "table": table, "label": "C10xC20"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 200 and group.identity == 0
+    # two order^3 cubes of int64 would take 128 MB
+    assert peak < 16 * 2**20
 
 
 def test_group_parameter_ranges():
